@@ -13,7 +13,8 @@
    T7 — §6.1    offload & completion under fault injection (retry/backoff/
                 Local_store fallback vs no-resilience baseline)
    T13 — §7     closure compiler vs tree-walking evaluator (and T8–T12,
-                see EXPERIMENTS.md for the full index) *)
+                see EXPERIMENTS.md for the full index)
+   T17 —        complexity gate: fresh-tree build/clone/construct at n vs 4n *)
 
 module B = Xqib.Browser
 module AS = Appserver.App_server
@@ -1965,6 +1966,97 @@ let bench_t16 ?(check = false) () =
        A/A ties"
   end
 
+(* ------------------------------------------------------------------ *)
+(* T17 — complexity gate: fresh-tree construction cost at n vs 4n.
+   Building a document from a parse tree, deep-cloning it and running
+   an element constructor over N fresh children must all be linear in
+   the number of children. A 4n/n time ratio above [t17_bar] fails the
+   gate: linear work reads about 4x (n log n a little more), while a
+   per-child append that copies the child list tends to 16x. Even the
+   smoke size keeps n above ~4k children: smaller trees die in the
+   minor heap while 4n-sized ones are promoted, which alone reads
+   8-11x on linear code. *)
+
+let t17_bar = 6.0
+
+let t17_xml n =
+  let buf = Buffer.create (n * 40) in
+  Buffer.add_string buf "<root>";
+  for i = 1 to n do
+    Buffer.add_string buf (Printf.sprintf "<item id=\"i%d\">value %d</item>" i i)
+  done;
+  Buffer.add_string buf "</root>";
+  Buffer.contents buf
+
+let bench_t17 ?(check = false) () =
+  section "T17" "complexity gate: fresh-tree build, clone and construction at n vs 4n";
+  let n = if smoke_enabled () then 4000 else 8000 in
+  (* one timed thunk per (workload, size); each is checked once before
+     it is timed *)
+  let workloads =
+    [
+      ( "of-tree",
+        fun size ->
+          let trees = Xmlb.Xml_parser.parse (t17_xml size) in
+          let count d = List.length (Dom.get_elements_by_local_name d "item") in
+          if count (Dom.of_tree trees) <> size then failwith "T17: of_tree lost items";
+          fun () -> ignore (Sys.opaque_identity (Dom.of_tree trees)) );
+      ( "clone",
+        fun size ->
+          let doc = Dom.of_string (t17_xml size) in
+          if Dom.serialize (Dom.clone doc) <> Dom.serialize doc then
+            failwith "T17: clone differs from its source";
+          fun () -> ignore (Sys.opaque_identity (Dom.clone doc)) );
+      ( "construct",
+        fun size ->
+          let q =
+            Xquery.Engine.compile
+              (Printf.sprintf "count(<a>{for $i in 1 to %d return <b/>}</a>/b)" size)
+          in
+          let result = Xdm_item.to_display_string (Xquery.Engine.run q) in
+          if result <> string_of_int size then
+            failwith ("T17: constructor count " ^ result);
+          fun () -> ignore (Sys.opaque_identity (Xquery.Engine.run q)) );
+    ]
+  in
+  Printf.printf "%-12s %14s %14s %9s\n" "workload"
+    (Printf.sprintf "n=%d" n) (Printf.sprintf "4n=%d" (4 * n)) "4n/n";
+  let measure (name, make) =
+    let small = make n and large = make (4 * n) in
+    let t_n = ns_per_run small and t_4n = ns_per_run large in
+    let ratio = t_4n /. t_n in
+    Printf.printf "%-12s %14s %14s %8.1fx\n" name (pretty_ns t_n) (pretty_ns t_4n)
+      ratio;
+    ((name, t_n, t_4n), ratio)
+  in
+  let results = List.map measure workloads in
+  write_json ~file:"BENCH_T17.json"
+    (List.concat_map
+       (fun ((name, t_n, t_4n), _) ->
+         [ json_entry ~name ~n t_n; json_entry ~name ~n:(4 * n) t_4n ])
+       results);
+  if check then begin
+    (* re-measure a workload over the bar before failing: a single
+       smoke-quota estimate can catch a major collection *)
+    List.iter2
+      (fun w ((name, _, _), ratio) ->
+        let rec gate tries ratio =
+          if ratio <= t17_bar then ()
+          else if tries >= 3 then begin
+            Printf.eprintf "T17 FAIL: %s grows %.1fx from n=%d to 4n (bar %.0fx)\n"
+              name ratio n t17_bar;
+            exit 1
+          end
+          else begin
+            Printf.printf "%s over the bar, re-measuring (try %d)\n" name (tries + 1);
+            gate (tries + 1) (snd (measure w))
+          end
+        in
+        gate 1 ratio)
+      workloads results;
+    Printf.printf "T17 check: every 4n/n ratio within %.0fx\n" t17_bar
+  end
+
 let () =
   let only = ref [] in
   let check = ref false in
@@ -2014,4 +2106,5 @@ let () =
   run "t14" (bench_t14 ~check:!check);
   run "t15" (bench_t15 ~check:!check);
   run "t16" (bench_t16 ~check:!check);
+  run "t17" (bench_t17 ~check:!check);
   print_endline "\ndone."

@@ -41,6 +41,10 @@
 # grows the global intern table, if no long-name scan clears the
 # speedup bar, or if an always-miss dispatch (which exercises only the
 # symbol-keyed machinery both modes share) shifts by more than 10%.
+# The T17 line is the complexity gate: it fails if building a document
+# from a parse tree, cloning it, or constructing an element over N
+# fresh children costs more than 6x as much at 4n as at n (linear work
+# reads about 4x, a quadratic path about 16x).
 set -eu
 cd "$(dirname "$0")"
 dune build @all
@@ -54,3 +58,4 @@ dune exec bench/main.exe -- --smoke --only t13 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t14 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t15 --check > /dev/null
 dune exec bench/main.exe -- --smoke --only t16 --check > /dev/null
+dune exec bench/main.exe -- --smoke --only t17 --check > /dev/null

@@ -4,8 +4,9 @@ module I = Xdm_item
 
 let namespace = Qname.Ns.browser
 
-(* Live materialized views, newest first; old ones are released so the
-   observer table does not grow without bound. *)
+(* Live materialized views, newest first: the ones [browser:document]
+   resolves window elements against. Older views are released (they
+   stop writing back); every view dies with the page's context. *)
 type state = { mutable views : Windows.view list }
 
 let max_live_views = 8

@@ -17,14 +17,8 @@ type options = {
 
 let default_options = { execution_order = `Js_first; run_inline_handlers = true }
 
-(* per-window page state: one static + dynamic context shared by all
-   XQuery scripts of the page (prolog accumulates, Fig. 1) *)
-type page_state = { static : SC.t; mutable ctx : DC.t }
-
-let states : (int, page_state) Hashtbl.t = Hashtbl.create 8
-
 let xquery_context window =
-  Option.map (fun st -> st.ctx) (Hashtbl.find_opt states window.Windows.wid)
+  Option.map (fun (st : Windows.page) -> st.ctx) window.Windows.page
 
 let fresh_state (b : Browser.t) window =
   let static = Xquery.Engine.default_static () in
@@ -38,7 +32,7 @@ let fresh_state (b : Browser.t) window =
   let ctx =
     DC.with_focus ctx (Xdm_item.Node window.Windows.document) ~position:1 ~size:1
   in
-  let st = { static; ctx } in
+  let st = { Windows.static; ctx } in
   (* The higher-order-function fallback of the paper's §5.1 ("as Zorba
      does not allow to modify the XQuery grammar, we use high-order
      functions to bind events and handle styles instead of the syntax
@@ -111,11 +105,11 @@ let fresh_state (b : Browser.t) window =
           | Some v -> [ Xdm_item.Atomic (Xdm_atomic.String v) ]
           | None -> [])
       | _ -> []);
-  Hashtbl.replace states window.Windows.wid st;
+  window.Windows.page <- Some st;
   st
 
 let state_for b window =
-  match Hashtbl.find_opt states window.Windows.wid with
+  match window.Windows.page with
   | Some st -> st
   | None -> fresh_state b window
 
@@ -308,7 +302,7 @@ let rec load ?(options = default_options) ?window (b : Browser.t) html =
     (fun w href ->
       let resp = fetch_page b href in
       if resp.Http_sim.status = 200 then load ~options ~window:w b resp.Http_sim.body);
-  Hashtbl.remove states window.Windows.wid;
+  window.Windows.page <- None;
   let parse_options =
     {
       Xml_parser.default_options with

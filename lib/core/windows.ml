@@ -1,5 +1,10 @@
 open Xmlb
 
+type page = {
+  static : Xquery.Static_context.t;
+  mutable ctx : Xquery.Dynamic_context.t;
+}
+
 type t = {
   wid : int;
   mutable wname : string;
@@ -16,6 +21,7 @@ type t = {
   mutable screen_y : int;
   mutable outer_width : int;
   mutable outer_height : int;
+  mutable page : page option;
 }
 
 let counter = ref 0
@@ -38,6 +44,7 @@ let create ?(name = "") ?(href = "about:blank") () =
     screen_y = 0;
     outer_width = 1024;
     outer_height = 768;
+    page = None;
   }
 
 let add_frame ~parent frame =

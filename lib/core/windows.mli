@@ -5,6 +5,15 @@
     with XPath and *updated* with the XQuery Update Facility, with a
     pull-style same-origin check so cross-origin windows are opaque. *)
 
+(** The XQuery state of the page loaded in a window: one static and
+    one dynamic context shared by all of the page's XQuery scripts
+    (the prolog accumulates, Fig. 1). Owned by the window, so it lives
+    until the next page load replaces it or the window is collected. *)
+type page = {
+  static : Xquery.Static_context.t;
+  mutable ctx : Xquery.Dynamic_context.t;
+}
+
 type t = {
   wid : int;
   mutable wname : string;
@@ -21,6 +30,8 @@ type t = {
   mutable screen_y : int;
   mutable outer_width : int;
   mutable outer_height : int;
+  mutable page : page option;
+      (** set by [Page] once the loaded page needs an XQuery context *)
 }
 
 (** Window geometry ([windowMoveBy]/[windowMoveTo] of §4.2.4). *)

@@ -174,6 +174,13 @@ val equal : node -> node -> bool
     mutated tree's root. *)
 
 val append_child : parent:node -> node -> unit
+
+(** [append_children ~parent kids] appends [kids] (distinct nodes), in
+    order, after [parent]'s existing children in one pass, with a
+    single [Children_changed parent] notification — the linear way to
+    build a fresh tree. No-op for [[]]. *)
+val append_children : parent:node -> node list -> unit
+
 val insert_first : parent:node -> node -> unit
 val insert_before : sibling:node -> node -> unit
 val insert_after : sibling:node -> node -> unit
@@ -200,7 +207,12 @@ val remove_attribute : node -> Qname.t -> unit
 (** Attach a parentless attribute node to an element. *)
 val append_attribute : parent:node -> node -> unit
 
-(** {1 Mutation observers} *)
+(** {1 Mutation observers}
+
+    An observer is stored on its root node: it lives exactly as long
+    as that node, and fires only while the node is a tree root (a root
+    grafted under another tree falls silent until it is detached
+    again). *)
 
 type mutation =
   | Children_changed of node  (** the parent whose child list changed *)
@@ -251,3 +263,39 @@ val get_element_by_id : node -> string -> node option
 val get_elements_by_local_name : node -> string -> node list
 
 val get_elements_by_local_sym : node -> Sym.t -> node list
+
+(** {1 Event-listener storage}
+
+    The event types of {!Dom_event}, defined here so each node can
+    carry its own listeners: a listener lives exactly as long as its
+    node and follows it across detach and re-attach. Registration and
+    dispatch are {!Dom_event}'s. *)
+
+type phase = Capturing | At_target | Bubbling
+
+type event = {
+  event_type : string;  (** e.g. ["onclick"], ["stateChanged"] *)
+  target : node;
+  mutable current_target : node option;
+  mutable phase : phase;
+  mutable propagation_stopped : bool;
+  mutable default_prevented : bool;
+  detail : (string * string) list;
+      (** event properties, e.g. [("button", "1"); ("altKey", "false")];
+          exposed to XQuery as children of the event node (§4.3.2) *)
+  payload : node option;
+      (** structured payload, e.g. an async call result (§4.4) *)
+}
+
+type listener = {
+  lid : int;
+  ltype : string;  (** the event type listened for *)
+  capture : bool;
+  lname : string option;
+  lcallback : event -> unit;
+}
+
+(** The node's listeners, in registration order. *)
+val listeners : node -> listener list
+
+val set_listeners : node -> listener list -> unit

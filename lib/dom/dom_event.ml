@@ -1,6 +1,6 @@
-type phase = Capturing | At_target | Bubbling
+type phase = Dom.phase = Capturing | At_target | Bubbling
 
-type event = {
+type event = Dom.event = {
   event_type : string;
   target : Dom.node;
   mutable current_target : Dom.node option;
@@ -26,100 +26,86 @@ let make_event ?(detail = []) ?payload ~event_type ~target () =
 let stop_propagation e = e.propagation_stopped <- true
 let prevent_default e = e.default_prevented <- true
 
-type listener = {
-  lid : int;
-  node : Dom.node;
-  event_type : string;
-  capture : bool;
-  lname : string option;
-  callback : event -> unit;
-}
-
 type listener_id = int
 
-(* node id -> listeners, in registration order *)
-let table : (int, listener list) Hashtbl.t = Hashtbl.create 64
 let listener_counter = ref 0
 let invocations = ref 0
 
-let node_listeners node = Option.value ~default:[] (Hashtbl.find_opt table (Dom.id node))
-
-(* Invoked with every listener id dropped from the table — explicit
-   removal, same-name replacement, or reset — so dependent state keyed
-   by listener id (the reactive layer's memos) is discarded with it. *)
+(* Invoked with every listener id dropped from its node — explicit
+   removal or same-name replacement — so dependent state keyed by
+   listener id (the reactive layer's memos) is discarded with it. *)
 let drop_hook : (int -> unit) ref = ref (fun _ -> ())
-
-let set_node_listeners node ls =
-  if ls = [] then Hashtbl.remove table (Dom.id node)
-  else Hashtbl.replace table (Dom.id node) ls
 
 let add_listener node ~event_type ?(capture = false) ?name callback =
   incr listener_counter;
-  let l = { lid = !listener_counter; node; event_type; capture; lname = name; callback } in
-  let existing = node_listeners node in
+  let l =
+    {
+      Dom.lid = !listener_counter;
+      ltype = event_type;
+      capture;
+      lname = name;
+      lcallback = callback;
+    }
+  in
+  let existing = Dom.listeners node in
   let existing =
     match name with
     | None -> existing
     | Some n ->
         let keep, replaced =
           List.partition
-            (fun o ->
+            (fun (o : Dom.listener) ->
               not
                 (o.lname = Some n
-                && String.equal o.event_type event_type
+                && String.equal o.ltype event_type
                 && o.capture = capture))
             existing
         in
-        List.iter (fun o -> !drop_hook o.lid) replaced;
+        List.iter (fun (o : Dom.listener) -> !drop_hook o.lid) replaced;
         keep
   in
-  set_node_listeners node (existing @ [ l ]);
+  Dom.set_listeners node (existing @ [ l ]);
   l.lid
 
-let remove_listener lid =
-  let found = ref None in
-  Hashtbl.iter
-    (fun nid ls -> if List.exists (fun l -> l.lid = lid) ls then found := Some (nid, ls))
-    table;
-  match !found with
-  | None -> ()
-  | Some (nid, ls) -> (
-      !drop_hook lid;
-      match List.filter (fun l -> l.lid <> lid) ls with
-      | [] -> Hashtbl.remove table nid
-      | ls -> Hashtbl.replace table nid ls)
+let remove_listener node lid =
+  let ls = Dom.listeners node in
+  if List.exists (fun (l : Dom.listener) -> l.lid = lid) ls then begin
+    !drop_hook lid;
+    Dom.set_listeners node
+      (List.filter (fun (l : Dom.listener) -> l.lid <> lid) ls)
+  end
 
 let remove_named_listener node ~event_type ~name =
-  let ls = node_listeners node in
   let keep, drop =
     List.partition
-      (fun l -> not (l.lname = Some name && String.equal l.event_type event_type))
-      ls
+      (fun (l : Dom.listener) ->
+        not (l.lname = Some name && String.equal l.ltype event_type))
+      (Dom.listeners node)
   in
-  set_node_listeners node keep;
-  List.iter (fun l -> !drop_hook l.lid) drop;
+  Dom.set_listeners node keep;
+  List.iter (fun (l : Dom.listener) -> !drop_hook l.lid) drop;
   List.length drop
 
-let listener_count node = List.length (node_listeners node)
+let listener_count node = List.length (Dom.listeners node)
 
 let invoke_phase event node =
   event.current_target <- Some node;
   let matching =
     List.filter
-      (fun l ->
-        String.equal l.event_type event.event_type
+      (fun (l : Dom.listener) ->
+        String.equal l.ltype event.event_type
         &&
         match event.phase with
         | Capturing -> l.capture
         | At_target -> true
         | Bubbling -> not l.capture)
-      (node_listeners node)
+      (Dom.listeners node)
   in
   List.iter
-    (fun l ->
+    (fun (l : Dom.listener) ->
       if not event.propagation_stopped then begin
         incr invocations;
-        l.callback event
+        l.lcallback event
       end)
     matching
 
@@ -145,7 +131,3 @@ let fire ?detail ?payload ~event_type ~target () =
   dispatch (make_event ?detail ?payload ~event_type ~target ())
 
 let invocation_count () = !invocations
-
-let reset () =
-  Hashtbl.iter (fun _ ls -> List.iter (fun l -> !drop_hook l.lid) ls) table;
-  Hashtbl.reset table

@@ -2,12 +2,12 @@
 
     The paper's event extension ([on event ... attach listener ...],
     §4.3) and JavaScript's [addEventListener] both compile down to this
-    module. Listeners are stored in a side table keyed by node identity,
-    so the {!Dom} tree itself stays purely structural. *)
+    module. Listeners are stored on their node ({!Dom.listeners}), so a
+    page's listeners become garbage with its DOM. *)
 
-type phase = Capturing | At_target | Bubbling
+type phase = Dom.phase = Capturing | At_target | Bubbling
 
-type event = {
+type event = Dom.event = {
   event_type : string;  (** e.g. ["onclick"], ["stateChanged"] *)
   target : Dom.node;
   mutable current_target : Dom.node option;
@@ -36,8 +36,8 @@ val prevent_default : event -> unit
     memos) by it. *)
 type listener_id = int
 
-(** Invoked with every listener id dropped from the table — explicit
-    removal, same-name replacement in {!add_listener}, or {!reset} — so
+(** Invoked with every listener id dropped from its node — explicit
+    removal or same-name replacement in {!add_listener} — so
     state keyed by listener id elsewhere is discarded with the
     registration instead of leaking. *)
 val drop_hook : (listener_id -> unit) ref
@@ -55,7 +55,9 @@ val add_listener :
   (event -> unit) ->
   listener_id
 
-val remove_listener : listener_id -> unit
+(** Remove the listener with this id from the node it was added to;
+    no-op if it is not there. *)
+val remove_listener : Dom.node -> listener_id -> unit
 
 (** Detach by name (paper's [detach listener] syntax). Returns the
     number of listeners removed. *)
@@ -81,6 +83,3 @@ val fire :
 (** Total number of listener invocations since program start (used by
     benches and tests). *)
 val invocation_count : unit -> int
-
-(** Remove all listeners everywhere (test isolation). *)
-val reset : unit -> unit

@@ -154,8 +154,17 @@ type window_state = {
   window : Xqib.Windows.t;
 }
 
-let states : (int, window_state) Hashtbl.t = Hashtbl.create 8
-let reset_window w = Hashtbl.remove states w.Xqib.Windows.wid
+(* Keyed weakly on the window: a window's JS state is collected with
+   the window, not kept alive by this table. *)
+module States = Ephemeron.K1.Make (struct
+  type t = Xqib.Windows.t
+
+  let equal = ( == )
+  let hash (w : t) = w.Xqib.Windows.wid
+end)
+
+let states : window_state States.t = States.create 8
+let reset_window w = States.remove states w
 
 (* ---------------- DOM bindings ---------------- *)
 
@@ -915,7 +924,7 @@ let xpath_result_object () =
   VObj (mk_obj ~props Plain)
 
 let state_for browser window =
-  match Hashtbl.find_opt states window.Xqib.Windows.wid with
+  match States.find_opt states window with
   | Some st when st.window.Xqib.Windows.document == window.Xqib.Windows.document ->
       st
   | _ ->
@@ -985,7 +994,7 @@ let state_for browser window =
                         VUndefined) );
                 ]
               Plain));
-      Hashtbl.replace states window.Xqib.Windows.wid st;
+      States.replace states window st;
       st
 
 let run_script browser window source =
@@ -1002,7 +1011,7 @@ let eval_in_window browser window source =
 let handle_inline _browser window ~element ~event_type ~source =
   if String.contains source ':' then false
   else
-    match Hashtbl.find_opt states window.Xqib.Windows.wid with
+    match States.find_opt states window with
     | None -> false
     | Some st -> (
         match Js_parser.parse_expression source with

@@ -504,45 +504,25 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
       let children = List.map (emit scope) children in
       fun env ->
         let el = Dom.create_element name in
-        List.iter
-          (fun (an, parts) ->
-            let value =
-              String.concat ""
-                (List.map
-                   (function
-                     | P_text t -> t
-                     | P_enclosed f -> I.sequence_string (f env))
-                   parts)
-            in
-            Dom.set_attribute el an value)
-          attributes;
-        let content = List.concat_map (fun f -> f env) children in
-        let attrs, kids = Eval.normalize_content content in
-        List.iter
-          (fun a ->
-            match Dom.name a with
-            | Some n ->
-                Dom.set_attribute el n (Option.value ~default:"" (Dom.value a))
-            | None -> ())
-          attrs;
-        List.iter (fun ch -> Dom.append_child ~parent:el ch) kids;
-        [ I.Node el ]
+        let attrs =
+          List.map
+            (fun (an, parts) ->
+              ( an,
+                String.concat ""
+                  (List.map
+                     (function
+                       | P_text t -> t
+                       | P_enclosed f -> I.sequence_string (f env))
+                     parts) ))
+            attributes
+        in
+        Eval.construct ~attrs el (List.concat_map (fun f -> f env) children)
   | C.C_computed_element (name_c, content_c) ->
       let fn = emit scope name_c and fc = emit scope content_c in
       fun env ->
         let name = Eval.qname_of_value env.ctx (I.singleton_atomic (fn env)) in
         let el = Dom.create_element name in
-        let content = fc env in
-        let attrs, kids = Eval.normalize_content content in
-        List.iter
-          (fun a ->
-            match Dom.name a with
-            | Some n ->
-                Dom.set_attribute el n (Option.value ~default:"" (Dom.value a))
-            | None -> ())
-          attrs;
-        List.iter (fun ch -> Dom.append_child ~parent:el ch) kids;
-        [ I.Node el ]
+        Eval.construct el (fc env)
   | C.C_computed_attribute (name_c, content_c) ->
       let fn = emit scope name_c and fc = emit scope content_c in
       fun env ->
@@ -564,9 +544,7 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
       let fa = emit scope a in
       fun env ->
         let doc = Dom.create_document () in
-        let _, kids = Eval.normalize_content (fa env) in
-        List.iter (fun ch -> Dom.append_child ~parent:doc ch) kids;
-        [ I.Node doc ]
+        Eval.construct doc (fa env)
   | C.C_opaque ast ->
       incr stat_opaque;
       if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.compile.opaque";

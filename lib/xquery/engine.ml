@@ -78,7 +78,13 @@ let compile ?(optimize = true) ?static source =
 (* ------------------------------------------------------------------ *)
 (* compiled-query cache                                                *)
 
-let query_cache : compiled Query_cache.t =
+(* An entry keeps only what is independent of the page that compiled
+   it: a hit replays the prolog into the caller's own static context,
+   so the compiling page's context (and, through its externals, its
+   browser and DOM) is not retained. *)
+type cached = { cached_prog : Ast.prog; cached_code : Compile.prog_code option }
+
+let query_cache : cached Query_cache.t =
   Query_cache.create ~name:"query-cache" ~capacity:256 ()
 
 (* Replay a cached compilation's prolog into [static], reproducing
@@ -87,9 +93,8 @@ let query_cache : compiled Query_cache.t =
    registrations, options and module imports. After this, [static] can
    evaluate the cached program exactly as if it had compiled the source
    itself — but with {e its own} external-function implementations and
-   module resolver, which is why cache hits re-bind the static context
-   instead of reusing the frozen one. *)
-let replay compiled static =
+   module resolver, which is why entries carry no static context. *)
+let replay prog static =
   List.iter
     (function
       | Ast.P_namespace (prefix, uri) ->
@@ -109,7 +114,7 @@ let replay compiled static =
           | Some prefix -> Static_context.declare_namespace static ~prefix ~uri
           | None -> ());
           load_module static ~uri ~locations)
-    compiled.prog.Ast.prolog
+    prog.Ast.prolog
 
 let cache_key ~optimize fingerprint source =
   (* the join-planning switch changes what [optimize] produces, so it
@@ -133,14 +138,13 @@ let compile_cached ?(optimize = true) ?static source =
     in
     let key = cache_key ~optimize fp source in
     match Query_cache.find query_cache key with
-    | Some cached ->
-        traced "engine.cache-replay" (fun () -> replay cached static);
-        { cached with static }
+    | Some { cached_prog = prog; cached_code = code } ->
+        traced "engine.cache-replay" (fun () -> replay prog static);
+        { prog; static; code }
     | None ->
         let c = compile ~optimize ~static source in
-        (* freeze a private copy: the caller goes on mutating [static] *)
         Query_cache.add query_cache key ~cost:(String.length source)
-          { c with static = Static_context.copy static };
+          { cached_prog = c.prog; cached_code = c.code };
         c
   end
 

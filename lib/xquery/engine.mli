@@ -33,18 +33,23 @@ val default_static : unit -> Static_context.t
     [optimize] (default true) runs the rewrite pass. *)
 val compile : ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 
+(** A cache entry: the optimized program and its closure code, which
+    hold no static context — so an entry never keeps alive the page
+    (externals, browser, DOM) that first compiled it. *)
+type cached = { cached_prog : Ast.prog; cached_code : Compile.prog_code option }
+
 (** The process-wide compiled-query cache, keyed by
     (optimize flag, {!Static_context.fingerprint}, source). Hosts that
     swap module resolvers or external-function {e implementations}
     while keeping the same registration keys must
     {!Query_cache.invalidate} it. *)
-val query_cache : compiled Query_cache.t
+val query_cache : cached Query_cache.t
 
 (** Like {!compile}, but consults {!query_cache} first. On a hit the
     cached program's prolog is replayed into [static] — reproducing
     the parser's registrations without re-parsing — and the returned
     artifact carries the caller's context. On a miss it compiles,
-    stores a frozen copy, and behaves exactly like {!compile}. Falls
+    stores the program and code, and behaves exactly like {!compile}. Falls
     back to {!compile} while {!Query_cache.enabled} is false. *)
 val compile_cached :
   ?optimize:bool -> ?static:Static_context.t -> string -> compiled

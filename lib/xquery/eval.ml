@@ -449,6 +449,23 @@ let normalize_content seq =
   flush_text ();
   (List.rev !attrs, List.rev !children)
 
+(* Fill a freshly created element or document node from a constructor:
+   [attrs] (a direct constructor's evaluated attributes) first, then the
+   content's attribute nodes (elements only), then the rest of the
+   content appended in one pass. *)
+let construct ?(attrs = []) node content =
+  List.iter (fun (an, v) -> Dom.set_attribute node an v) attrs;
+  let cattrs, kids = normalize_content content in
+  if Dom.kind node = Dom.Element then
+    List.iter
+      (fun a ->
+        match Dom.name a with
+        | Some n -> Dom.set_attribute node n (Option.value ~default:"" (Dom.value a))
+        | None -> ())
+      cattrs;
+  Dom.append_children ~parent:node kids;
+  [ I.Node node ]
+
 let qname_of_value ctx v =
   ignore ctx;
   match v with
@@ -702,43 +719,25 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   (* ---- constructors ---- *)
   | Ast.E_direct_element { name; attributes; children } ->
       let el = Dom.create_element name in
-      List.iter
-        (fun (an, parts) ->
-          let value =
-            String.concat ""
-              (List.map
-                 (function
-                   | Ast.A_text t -> t
-                   | Ast.A_enclosed e -> I.sequence_string (eval ctx e))
-                 parts)
-          in
-          Dom.set_attribute el an value)
-        attributes;
-      let content = List.concat_map (eval ctx) children in
-      let attrs, kids = normalize_content content in
-      List.iter
-        (fun a ->
-          match Dom.name a with
-          | Some n -> Dom.set_attribute el n (Option.value ~default:"" (Dom.value a))
-          | None -> ())
-        attrs;
-      List.iter (fun c -> Dom.append_child ~parent:el c) kids;
-      [ I.Node el ]
+      let attrs =
+        List.map
+          (fun (an, parts) ->
+            ( an,
+              String.concat ""
+                (List.map
+                   (function
+                     | Ast.A_text t -> t
+                     | Ast.A_enclosed e -> I.sequence_string (eval ctx e))
+                   parts) ))
+          attributes
+      in
+      construct ~attrs el (List.concat_map (eval ctx) children)
   | Ast.E_computed_element (name_e, content_e) ->
       let name =
         qname_of_value ctx (I.singleton_atomic (eval ctx name_e))
       in
       let el = Dom.create_element name in
-      let content = eval ctx content_e in
-      let attrs, kids = normalize_content content in
-      List.iter
-        (fun a ->
-          match Dom.name a with
-          | Some n -> Dom.set_attribute el n (Option.value ~default:"" (Dom.value a))
-          | None -> ())
-        attrs;
-      List.iter (fun c -> Dom.append_child ~parent:el c) kids;
-      [ I.Node el ]
+      construct el (eval ctx content_e)
   | Ast.E_computed_attribute (name_e, content_e) ->
       let name = qname_of_value ctx (I.singleton_atomic (eval ctx name_e)) in
       let value = I.sequence_string (eval ctx content_e) in
@@ -752,9 +751,7 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
       [ I.Node (Dom.create_pi ~target (I.sequence_string (eval ctx content_e))) ]
   | Ast.E_computed_document e ->
       let doc = Dom.create_document () in
-      let _, kids = normalize_content (eval ctx e) in
-      List.iter (fun c -> Dom.append_child ~parent:doc c) kids;
-      [ I.Node doc ]
+      construct doc (eval ctx e)
   (* ---- updates ---- *)
   | Ast.E_insert (pos, source_e, target_e) ->
       eval_insert ctx pos source_e target_e

@@ -84,8 +84,15 @@ val value_index_step :
 val value_compare_pair : Ast.value_comp -> Xdm_atomic.t -> Xdm_atomic.t -> bool
 val general_compare_pair : Ast.value_comp -> Xdm_atomic.t -> Xdm_atomic.t -> bool
 
-(** Normalize a constructor content sequence into (attributes,
-    children) per the XQuery constructor rules. *)
-val normalize_content : Xdm_item.sequence -> Dom.node list * Dom.node list
+(** [construct ?attrs node content] fills a fresh element or document
+    node from constructor content — [attrs] first, then the content's
+    attribute nodes (elements only), then its other nodes appended in
+    one pass — and returns [[node]]. Shared by the evaluator and the
+    closure compiler. *)
+val construct :
+  ?attrs:(Qname.t * string) list ->
+  Dom.node ->
+  Xdm_item.sequence ->
+  Xdm_item.sequence
 
 val qname_of_value : Dynamic_context.t -> Xdm_atomic.t -> Qname.t

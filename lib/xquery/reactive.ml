@@ -16,7 +16,7 @@
    and drop-time cleanup, while ignoring the [--no-query-cache] kill
    switch: this table is correctness bookkeeping, not an optimization
    toggle. [Dom_event.drop_hook] removes the entry when its registration
-   is removed, replaced by a same-name listener, or reset, and
+   is removed or replaced by a same-name listener, and
    [Footprint.on_commit] marks intersecting memos dirty after every
    mutation batch. *)
 

@@ -23,9 +23,9 @@ val fresh_memo : unit -> memo
 (** {1 Registration}
 
     Keyed by [Dom_event] listener id; [Dom_event.drop_hook] is wired to
-    {!drop} at module initialization, so removal, same-name
-    replacement and reset all release the memo (and its footprint's
-    tracked-root refcounts). *)
+    {!drop} at module initialization, so removal and same-name
+    replacement release the memo (and its footprint's tracked-root
+    refcounts). *)
 
 val register : Dom_event.listener_id -> memo -> unit
 val drop : Dom_event.listener_id -> unit

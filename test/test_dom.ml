@@ -209,6 +209,25 @@ let observer_tests =
         Dom.append_child ~parent:(root_el other) (Dom.create_text "t");
         check Alcotest.int "not notified" 0 !hits;
         Dom.unobserve id);
+    t "append_children keeps order with one notification" (fun () ->
+        let doc = sample () in
+        let parent = root_el doc in
+        let before = List.length (Dom.children parent) in
+        let hits = ref 0 in
+        let id = Dom.observe ~root:doc (fun _ -> incr hits) in
+        let kids = List.map Dom.create_text [ "x"; "y"; "z" ] in
+        Dom.append_children ~parent kids;
+        Dom.append_children ~parent [];
+        check Alcotest.int "one notification" 1 !hits;
+        check Alcotest.bool "appended in order, parented" true
+          (List.for_all2 ( == )
+             (List.filteri (fun i _ -> i >= before) (Dom.children parent))
+             kids
+          && List.for_all
+               (fun k ->
+                 match Dom.parent k with Some p -> p == parent | None -> false)
+               kids);
+        Dom.unobserve id);
     t "value change notifies with node" (fun () ->
         let doc = sample () in
         let seen = ref None in
@@ -301,7 +320,7 @@ let event_tests =
         let doc = Dom.of_string "<btn/>" in
         let btn = root_el doc in
         let id = Dom_event.add_listener btn ~event_type:"ev" (record "x") in
-        Dom_event.remove_listener id;
+        Dom_event.remove_listener btn id;
         ignore (Dom_event.fire ~event_type:"ev" ~target:btn ());
         check (Alcotest.list Alcotest.string) "no firing" [] !fired);
     t "event detail carried" (fun () ->

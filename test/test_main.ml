@@ -31,4 +31,5 @@ let () =
       ("paper-examples", Test_paper_examples.suite);
       ("obs", Test_obs.suite);
       ("misc", Test_misc.suite);
+      ("lifetime", Test_lifetime.suite);
     ]
