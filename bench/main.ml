@@ -1711,26 +1711,18 @@ let bench_t15 ?(check = false) () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* T16 — global name interning: symbol fast paths vs string compares.
+(* T16 — global name interning: what symbol-keyed names cost.
 
-   The intern table and the symbol keying of every index are always
-   on (interning is a bijection, so both modes agree on every key);
-   the ablation gates only the comparison fast paths — Qname
-   equality and the evaluator's choice of symbol- vs string-keyed
-   probe entry points. Element names share a long common prefix so
-   the ablated String.equal pays for most of the length before it
-   can decide; the interned compare is two ints regardless. *)
-
-let with_interning enabled f =
-  Dom.set_interned_fastpaths enabled;
-  Fun.protect ~finally:(fun () -> Dom.set_interned_fastpaths true) f
+   Names are interned once and compared as symbols everywhere. This
+   section times the name-heavy workloads and gates one property:
+   re-parsing a document interns nothing new. Element names share a
+   long common prefix, which a string comparison would walk on every
+   candidate and a symbol comparison never reads. *)
 
 let t16_prefix = String.make 96 'x'
 let t16_name tag = t16_prefix ^ "-" ^ tag
 
-(* The name-scan workloads use names sharing a long common prefix: the
-   ablated comparison walks the prefix on every candidate — matching
-   or not — while the interned one compares two ints. The parse and
+(* The name-scan workloads use a 1 KiB common prefix; the parse and
    dispatch workloads keep the moderate 96-char names above. *)
 let t16_scan_prefix = String.make 1024 'y'
 let t16_scan_name tag = t16_scan_prefix ^ "-" ^ tag
@@ -1771,11 +1763,13 @@ let t16_page ~regions ~vals_per =
   Buffer.contents buf
 
 let bench_t16 ?(check = false) () =
-  section "T16" "name interning: symbol fast paths vs string comparison";
+  section "T16" "name interning: symbol-keyed name workloads";
   let entries = ref [] in
-  (* --- parse: both modes intern (the table is not ablatable), so the
-     columns document an A/A tie; the sym counters prove each distinct
-     name was interned exactly once *)
+  let row n name ns =
+    Printf.printf "%-8s %-18s %14s\n" n name (pretty_ns ns)
+  in
+  (* --- parse: the sym counters prove each distinct name was interned
+     exactly once *)
   let n_parse = if smoke_enabled () then 1000 else 10000 in
   let xml = t16_xml n_parse in
   let size0 = Xmlb.Sym.size () in
@@ -1783,75 +1777,42 @@ let bench_t16 ?(check = false) () =
   let size1 = Xmlb.Sym.size () in
   ignore (Sys.opaque_identity (Dom.of_string xml));
   let size2 = Xmlb.Sym.size () in
-  let parse_on =
-    with_interning true (fun () ->
-        ns_per_run (fun () -> ignore (Sys.opaque_identity (Dom.of_string xml))))
+  let parse =
+    ns_per_run (fun () -> ignore (Sys.opaque_identity (Dom.of_string xml)))
   in
-  let parse_off =
-    with_interning false (fun () ->
-        ns_per_run (fun () -> ignore (Sys.opaque_identity (Dom.of_string xml))))
-  in
-  Printf.printf "%-8d %-18s %14s %14s %9s\n" n_parse "workload" "interned"
-    "ablated" "speedup";
-  Printf.printf "%-8s %-18s %14s %14s %8.1fx\n" "" "parse-dom"
-    (pretty_ns parse_on) (pretty_ns parse_off) (parse_off /. parse_on);
+  Printf.printf "%-8s %-18s %14s\n" "n" "workload" "time";
+  row (string_of_int n_parse) "parse-dom" parse;
   Printf.printf
     "sym table: %d distinct names after parse (+%d), re-parse added %d\n"
     size1 (size1 - size0) (size2 - size1);
-  entries :=
-    json_entry ~name:"parse-dom/ablated" ~n:n_parse parse_off
-    :: json_entry ~name:"parse-dom" ~n:n_parse parse_on
-    :: !entries;
+  entries := json_entry ~name:"parse-dom" ~n:n_parse parse :: !entries;
   (* --- name-test scans: child axis tests every sibling, descendant
-     axis refines a local-name index bucket — both pay one Qname
-     comparison per candidate, and the shared 1 KiB prefix makes the
-     ablated comparison walk the whole name every time *)
+     axis refines a local-name index bucket — one Qname comparison per
+     candidate either way *)
   let n_scan = if smoke_enabled () then 2000 else 20000 in
   let ctx = Xdm_item.Node (Dom.of_string (t16_xml ~name:t16_scan_name n_scan)) in
-  let scan_queries =
+  List.iter
+    (fun (name, src) ->
+      let q =
+        Xquery.Engine.compile ~static:(Xquery.Engine.default_static ()) src
+      in
+      let ns =
+        ns_per_run (fun () ->
+            ignore (Sys.opaque_identity (Xquery.Engine.run ~context_item:ctx q)))
+      in
+      row "" name ns;
+      entries := json_entry ~name ~n:n_scan ns :: !entries)
     [
       ( "child-name-scan",
         Printf.sprintf "count(/%s/%s)" (t16_scan_name "root")
           (t16_scan_name "even") );
       ("desc-name-scan", Printf.sprintf "count(//%s)" (t16_scan_name "even"));
-    ]
-  in
-  let measure_scan (name, src) =
-    let q =
-      Xquery.Engine.compile ~static:(Xquery.Engine.default_static ()) src
-    in
-    let run_q () =
-      ignore (Sys.opaque_identity (Xquery.Engine.run ~context_item:ctx q))
-    in
-    let show () =
-      Xdm_item.to_display_string (Xquery.Engine.run ~context_item:ctx q)
-    in
-    (* correctness first: the ablation switch is the test oracle *)
-    let r_on = with_interning true show in
-    let r_off = with_interning false show in
-    if not (String.equal r_on r_off) then begin
-      Printf.eprintf "T16 FAIL: interned result differs on %s (%s vs %s)\n"
-        name r_on r_off;
-      exit 1
-    end;
-    let fast = with_interning true (fun () -> ns_per_run run_q) in
-    let slow = with_interning false (fun () -> ns_per_run run_q) in
-    let speedup = slow /. fast in
-    Printf.printf "%-8s %-18s %14s %14s %8.1fx\n" "" name (pretty_ns fast)
-      (pretty_ns slow) speedup;
-    entries :=
-      json_entry ~name:(name ^ "/ablated") ~n:n_scan slow
-      :: json_entry ~name ~n:n_scan ~speedup fast
-      :: !entries;
-    (name, speedup)
-  in
-  let scan_speedups = List.map measure_scan scan_queries in
-  (* --- listener dispatch: rerun-all re-runs name-heavy bodies under
-     each mode; always-miss isolates the footprint intersection, which
-     is symbol-keyed int hashing in BOTH modes and must tie *)
+    ];
+  (* --- listener dispatch: rerun re-runs name-heavy bodies;
+     always-miss isolates the symbol-keyed footprint intersection *)
   let regions = if smoke_enabled () then 20 else 60 in
   let vals_per = if smoke_enabled () then 10 else 50 in
-  let setup () =
+  let dispatch_cost ~miss =
     let b = browser_with ~page:(t16_page ~regions ~vals_per) () in
     let doc = B.document b in
     let divs =
@@ -1864,48 +1825,27 @@ let bench_t16 ?(check = false) () =
         divs
     in
     let spare = List.hd (Dom.get_elements_by_local_name doc "spare") in
-    (b, divs, firsts, spare)
+    let c = ref 0 in
+    let ev () =
+      incr c;
+      Dom.with_batch (fun () ->
+          if miss then Dom.set_value spare (string_of_int (!c mod 4))
+          else
+            Array.iter
+              (fun v -> Dom.set_value v (string_of_int (!c mod 4)))
+              firsts);
+      Array.iter (fun d -> B.dispatch b ~target:d "tick") divs
+    in
+    ev ();
+    (* warm every memo *)
+    ns_per_run ev
   in
-  let dispatch_cost ~miss enabled =
-    with_interning enabled (fun () ->
-        let b, divs, firsts, spare = setup () in
-        let c = ref 0 in
-        let ev () =
-          incr c;
-          Dom.with_batch (fun () ->
-              if miss then Dom.set_value spare (string_of_int (!c mod 4))
-              else
-                Array.iter
-                  (fun v -> Dom.set_value v (string_of_int (!c mod 4)))
-                  firsts);
-          Array.iter (fun d -> B.dispatch b ~target:d "tick") divs
-        in
-        ev ();
-        (* warm every memo *)
-        ns_per_run ev)
-  in
-  let rerun_on = dispatch_cost ~miss:false true in
-  let rerun_off = dispatch_cost ~miss:false false in
-  Printf.printf "%-8d %-18s %14s %14s %8.1fx\n" (regions * vals_per)
-    "dispatch-rerun" (pretty_ns rerun_on) (pretty_ns rerun_off)
-    (rerun_off /. rerun_on);
-  entries :=
-    json_entry ~name:"dispatch-rerun/ablated" ~n:(regions * vals_per) rerun_off
-    :: json_entry
-         ~name:"dispatch-rerun" ~n:(regions * vals_per)
-         ~speedup:(rerun_off /. rerun_on) rerun_on
-    :: !entries;
-  let miss_on = dispatch_cost ~miss:true true in
-  let miss_off = dispatch_cost ~miss:true false in
-  Printf.printf "%-8d %-18s %14s %14s %8.1fx\n" (regions * vals_per)
-    "dispatch-miss" (pretty_ns miss_on) (pretty_ns miss_off)
-    (miss_off /. miss_on);
-  entries :=
-    json_entry ~name:"dispatch-miss/ablated" ~n:(regions * vals_per) miss_off
-    :: json_entry
-         ~name:"dispatch-miss" ~n:(regions * vals_per)
-         ~speedup:(miss_off /. miss_on) miss_on
-    :: !entries;
+  List.iter
+    (fun (name, miss) ->
+      let ns = dispatch_cost ~miss in
+      row (string_of_int (regions * vals_per)) name ns;
+      entries := json_entry ~name ~n:(regions * vals_per) ns :: !entries)
+    [ ("dispatch-rerun", false); ("dispatch-miss", true) ];
   let stats = Xmlb.Sym.stats () in
   let stat k = try List.assoc k stats with Not_found -> 0 in
   Printf.printf "\nsym counters: size=%d bytes=%d hits=%d misses=%d\n"
@@ -1917,53 +1857,14 @@ let bench_t16 ?(check = false) () =
     :: !entries;
   write_json ~file:"BENCH_T16.json" (List.rev !entries);
   if check then begin
-    (* gate (a): the parser memoizes per-document and the table dedups
-       globally — re-parsing the same document must intern nothing *)
+    (* the parser memoizes per-document and the table dedups globally —
+       re-parsing the same document must intern nothing *)
     if size2 <> size1 then begin
       Printf.eprintf "T16 FAIL: re-parse grew the intern table by %d\n"
         (size2 - size1);
       exit 1
     end;
-    (* gate (b): a name-test scan clears the speedup bar (retried: the
-       per-candidate win is tens of ns, so smoke quotas are noisy) *)
-    let bar = 1.3 in
-    let best l = List.fold_left (fun a (_, s) -> Float.max a s) 0. l in
-    let rec scan_gate tries speedups =
-      if best speedups >= bar then ()
-      else if tries >= 3 then begin
-        Printf.eprintf "T16 FAIL: best name-scan speedup %.2fx below %.1fx\n"
-          (best speedups) bar;
-        exit 1
-      end
-      else begin
-        Printf.printf "scan gate below bar, re-measuring (try %d)\n" (tries + 1);
-        scan_gate (tries + 1) (List.map measure_scan scan_queries)
-      end
-    in
-    scan_gate 1 scan_speedups;
-    (* gate (c): A/A — the always-miss dispatch exercises only machinery
-       both modes share (symbol-keyed footprint intersection), so the
-       ablation must not change it; retried to absorb scheduler
-       hiccups *)
-    let rec aa tries =
-      let on = dispatch_cost ~miss:true true in
-      let off = dispatch_cost ~miss:true false in
-      let delta = (on -. off) /. off in
-      Printf.printf "A/A always-miss delta (try %d): %+.1f%%\n" tries
-        (100. *. delta);
-      if delta <= 0.10 then ()
-      else if tries >= 3 then begin
-        Printf.eprintf
-          "T16 FAIL: interning changes the always-miss dispatch by more \
-           than 10%% after 3 tries\n";
-        exit 1
-      end
-      else aa (tries + 1)
-    in
-    aa 1;
-    print_endline
-      "T16 check: results identical, intern table stable, scan bar met, \
-       A/A ties"
+    print_endline "T16 check: intern table stable across re-parse"
   end
 
 (* ------------------------------------------------------------------ *)

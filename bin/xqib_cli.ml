@@ -91,17 +91,6 @@ let no_value_index_arg =
            (A/B baseline for the value index). Combine with --metrics \
            to compare the dom.value_index.hits counter.")
 
-let no_interning_arg =
-  Arg.(
-    value & flag
-    & info [ "no-interning" ]
-        ~doc:
-          "Disable the interned-name fast paths: QName equality and \
-           name-keyed index probes compare and hash strings instead of \
-           pre-interned symbols (A/B baseline for name interning; the \
-           intern table itself stays on — see the sym element of \
-           browser:stats()).")
-
 let no_join_planner_arg =
   Arg.(
     value & flag
@@ -140,12 +129,11 @@ let streaming_setup ~no_streaming =
   if no_streaming then Xquery.Eval.set_streaming false
 
 let plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
-    ~no_incremental ~no_interning =
+    ~no_incremental =
   if no_value_index then Dom.set_value_index false;
   if no_join_planner then Xquery.Optimizer.set_join_planning false;
   if no_compiled_eval then Xquery.Engine.set_compiled_eval false;
-  if no_incremental then Xquery.Reactive.set_incremental false;
-  if no_interning then Dom.set_interned_fastpaths false
+  if no_incremental then Xquery.Reactive.set_incremental false
 
 let cache_report ~cache_stats =
   if cache_stats then begin
@@ -201,13 +189,12 @@ let eval_cmd =
     Arg.(value & opt bool true & info [ "optimize" ] ~doc:"Run the rewrite optimizer.")
   in
   let run expr optimize trace metrics no_cache cache_stats no_streaming
-      no_value_index no_join_planner no_compiled_eval no_incremental
-      no_interning =
+      no_value_index no_join_planner no_compiled_eval no_incremental =
     obs_setup ~trace ~metrics;
     cache_setup ~no_cache;
     streaming_setup ~no_streaming;
     plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
-      ~no_incremental ~no_interning;
+      ~no_incremental;
     handle (fun () ->
         print_result (Xquery.Engine.eval_string ~optimize expr);
         obs_report ~trace ~metrics;
@@ -217,20 +204,19 @@ let eval_cmd =
     Term.(
       const run $ expr $ optimize $ trace_arg $ metrics_arg $ no_cache_arg
       $ cache_stats_arg $ no_streaming_arg $ no_value_index_arg
-      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
-      $ no_interning_arg)
+      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg)
 
 (* ---- run ---- *)
 
 let run_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.xq") in
   let run file trace metrics no_cache cache_stats no_streaming no_value_index
-      no_join_planner no_compiled_eval no_incremental no_interning =
+      no_join_planner no_compiled_eval no_incremental =
     obs_setup ~trace ~metrics;
     cache_setup ~no_cache;
     streaming_setup ~no_streaming;
     plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
-      ~no_incremental ~no_interning;
+      ~no_incremental;
     handle (fun () ->
         print_result (Xquery.Engine.eval_string (read_file file));
         obs_report ~trace ~metrics;
@@ -241,8 +227,7 @@ let run_cmd =
     Term.(
       const run $ file $ trace_arg $ metrics_arg $ no_cache_arg
       $ cache_stats_arg $ no_streaming_arg $ no_value_index_arg
-      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
-      $ no_interning_arg)
+      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg)
 
 (* ---- page ---- *)
 
@@ -287,7 +272,7 @@ let page_cmd =
   in
   let run file clicks types show_doc render uppercase query fault_rate seed
       trace metrics no_cache cache_stats no_streaming no_value_index
-      no_join_planner no_compiled_eval no_incremental no_interning =
+      no_join_planner no_compiled_eval no_incremental =
     if fault_rate < 0. || fault_rate >= 1. then begin
       Printf.eprintf "error: --fault-rate must be in [0, 1), got %g\n" fault_rate;
       exit 2
@@ -296,7 +281,7 @@ let page_cmd =
     cache_setup ~no_cache;
     streaming_setup ~no_streaming;
     plan_setup ~no_value_index ~no_join_planner ~no_compiled_eval
-      ~no_incremental ~no_interning;
+      ~no_incremental;
     handle (fun () ->
         Minijs.Js_interp.install ();
         let b =
@@ -365,7 +350,14 @@ let page_cmd =
             (Rest.fallback_hits b.Xqib.Browser.rest)
         end;
         obs_report ~trace ~metrics;
-        cache_report ~cache_stats)
+        cache_report ~cache_stats;
+        (* a failing script does not stop the page from loading, but it
+           does fail the run *)
+        match List.rev b.Xqib.Browser.script_errors with
+        | [] -> ()
+        | errors ->
+            List.iter (Printf.eprintf "script error: %s\n") errors;
+            exit 1)
   in
   Cmd.v
     (Cmd.info "page" ~doc:"Load an (X)HTML page in the simulated browser")
@@ -373,8 +365,7 @@ let page_cmd =
       const run $ file $ clicks $ types $ show_doc $ render $ uppercase $ query
       $ fault_rate $ seed $ trace_arg $ metrics_arg $ no_cache_arg
       $ cache_stats_arg $ no_streaming_arg $ no_value_index_arg
-      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg
-      $ no_interning_arg)
+      $ no_join_planner_arg $ no_compiled_eval_arg $ no_incremental_arg)
 
 (* ---- migrate ---- *)
 

@@ -36,17 +36,25 @@
 # against a shed threshold sheds nothing or lets the queue depth exceed
 # the threshold, or if the migrated workload's p99 is not strictly
 # below the server-rendered p99 at the largest fleet.
-# The T16 line gates name interning: it fails if the interned and
-# ablated modes disagree on any scan result, if re-parsing a document
-# grows the global intern table, if no long-name scan clears the
-# speedup bar, or if an always-miss dispatch (which exercises only the
-# symbol-keyed machinery both modes share) shifts by more than 10%.
+# The T16 line gates name interning: it fails if re-parsing a
+# document grows the global intern table.
+# The globals step lists the top-level mutable globals in lib/ (a
+# `let` bound to a ref, hash table, atomic, array, queue, stack or
+# buffer) and fails on any that mutable_globals.txt does not list.
 # The T17 line is the complexity gate: it fails if building a document
 # from a parse tree, cloning it, or constructing an element over N
 # fresh children costs more than 6x as much at 4n as at n (linear work
 # reads about 4x, a quadratic path about 16x).
 set -eu
 cd "$(dirname "$0")"
+globals=$(grep -rnE '^let [A-Za-z_0-9]+( *: *[^=]+)? *= *(ref|Hashtbl\.create|Atomic\.make|Array\.make|Queue\.create|Stack\.create|Buffer\.create)\b' lib --include=*.ml \
+  | sed -E 's/^([^:]+):[0-9]+:let ([A-Za-z_0-9]+).*/\1:\2/')
+unlisted=$(printf '%s\n' "$globals" | grep -vxF -f mutable_globals.txt || true)
+if [ -n "$unlisted" ]; then
+  echo "mutable globals in lib/ missing from mutable_globals.txt:" >&2
+  echo "$unlisted" >&2
+  exit 1
+fi
 dune build @all
 dune runtest
 dune exec bench/main.exe -- --smoke > /dev/null

@@ -198,8 +198,6 @@ let install (b : Browser.t) (window : Windows.t) sctx =
         (string_of_bool (Xquery.Engine.compiled_eval_enabled ()));
       attr root "incremental-enabled"
         (string_of_bool (Xquery.Reactive.active ()));
-      attr root "interning-enabled"
-        (string_of_bool (Dom.interned_fastpaths_enabled ()));
       let counters = Dom.create_element (Qname.make "counters") in
       Dom.append_child ~parent:root counters;
       List.iter
@@ -256,7 +254,6 @@ let install (b : Browser.t) (window : Windows.t) sctx =
         (Xquery.Reactive.counter_stats ());
       Dom.append_child ~parent:root re;
       let sy = Dom.create_element (Qname.make "sym") in
-      attr sy "enabled" (string_of_bool (Dom.interned_fastpaths_enabled ()));
       List.iter
         (fun (name, v) -> attr sy name (string_of_int v))
         (Xmlb.Sym.stats ());

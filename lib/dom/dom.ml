@@ -214,15 +214,6 @@ let value_index = ref true
 let set_value_index b = value_index := b
 let value_index_enabled () = !value_index
 
-(* Interned-name fast paths (the [--no-interning] ablation): forwards
-   to the global [Sym] switch, which gates [Qname.equal]/[compare] and
-   the evaluator's symbol probes. Index *storage* stays symbol-keyed
-   either way — interning is a bijection, so both modes probe the same
-   keys; the switch selects whether probe keys come from pre-interned
-   symbols or are re-derived from strings. *)
-let set_interned_fastpaths b = Sym.set_fastpaths b
-let interned_fastpaths_enabled () = Sym.fastpaths_enabled ()
-
 (* The "id" attribute's symbol, compared against attribute local names
    on every structural-invalidation decision. *)
 let id_sym : Sym.t = Sym.intern "id"
@@ -1106,12 +1097,10 @@ let value_lookup which n (lsym : Sym.t) v =
 (* Elements in the subtree of [n] (inclusive) owning an attribute with
    the given local name and exact value, in document order. *)
 let elements_by_attr_value_sym n ~local v = value_lookup `Attr n local v
-let elements_by_attr_value n ~local v = value_lookup `Attr n (Sym.intern local) v
 
 (* Flat elements in the subtree of [n] (inclusive) with the given local
    name and exact string value, in document order. *)
 let elements_by_text_value_sym n ~local v = value_lookup `Text n local v
-let elements_by_text_value n ~local v = value_lookup `Text n (Sym.intern local) v
 
 (* Current accel generation of the tree containing [n]; exposed so
    tests can pin down exactly how often updates invalidate caches. *)

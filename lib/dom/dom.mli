@@ -125,38 +125,17 @@ val acceleration_enabled : unit -> bool
 val set_value_index : bool -> unit
 val value_index_enabled : unit -> bool
 
-(** {1 Interned-name fast paths}
-
-    The [--no-interning] ablation switch, forwarded to the global
-    [Xmlb.Sym] switch: gates [Qname.equal]/[compare] and the
-    evaluator's symbol-keyed probes back to string comparison. The
-    intern table itself and the symbol keying of the DOM indexes stay
-    on either way (interning is a bijection, so both modes agree on
-    every key); only the fast paths are ablated. Global; on by
-    default. *)
-
-val set_interned_fastpaths : bool -> unit
-val interned_fastpaths_enabled : unit -> bool
-
 (** Elements in the subtree of the given node (inclusive) owning an
-    attribute with the given local name (any namespace) and exact
-    value, in document order. [None] when the index cannot answer
+    attribute with the given local-name symbol (any namespace) and
+    exact value, in document order. [None] when the index cannot answer
     (switch off) — fall back to a scan. *)
-val elements_by_attr_value : node -> local:string -> string -> node list option
-
-(** Like {!elements_by_attr_value}, keyed by the pre-interned
-    local-name symbol (no string hashing on the probe). *)
 val elements_by_attr_value_sym :
   node -> local:Sym.t -> string -> node list option
 
 (** Flat elements in the subtree of the given node (inclusive) with
-    the given local name (any namespace) and exact string value, in
-    document order. [None] when the index cannot answer (switch off,
+    the given local-name symbol (any namespace) and exact string value,
+    in document order. [None] when the index cannot answer (switch off,
     or some element with this local name has element children). *)
-val elements_by_text_value : node -> local:string -> string -> node list option
-
-(** Like {!elements_by_text_value}, keyed by the pre-interned
-    local-name symbol. *)
 val elements_by_text_value_sym :
   node -> local:Sym.t -> string -> node list option
 

@@ -28,27 +28,22 @@ let lsym t = t.lsym
 let usym t = t.usym
 
 (* Interning is a bijection between distinct strings and symbols, so
-   the symbol compare and the string compare decide equality
-   identically; the switch only selects which cost is paid (the
-   [--no-interning] ablation). *)
-let equal a b =
-  if !Sym.fastpaths then Sym.equal a.lsym b.lsym && a.usym = b.usym
-  else
-    String.equal a.local b.local && Option.equal String.equal a.uri b.uri
+   the symbol compare decides equality exactly as a string compare
+   would. *)
+let equal a b = Sym.equal a.lsym b.lsym && a.usym = b.usym
 
-(* The order stays string-based in both modes — symbol ids depend on
-   intern order, and an intern-order sort would leak into any
-   observable sorted output. The fast path only short-circuits the
-   equal case to O(1). *)
+(* The order stays string-based — symbol ids depend on intern order,
+   and an intern-order sort would leak into any observable sorted
+   output. Equal names short-circuit to O(1). *)
 let compare a b =
-  if !Sym.fastpaths && Sym.equal a.lsym b.lsym && a.usym = b.usym then 0
+  if Sym.equal a.lsym b.lsym && a.usym = b.usym then 0
   else
     match Option.compare String.compare a.uri b.uri with
     | 0 -> String.compare a.local b.local
     | c -> c
 
 (* Mix of the pre-interned symbols: no tuple allocation, no option
-   blocks, no string walk. Consistent with [equal] in both modes. *)
+   blocks, no string walk. Consistent with [equal]. *)
 let hash t = (((t.usym + 1) * 65599) + (t.lsym :> int)) land max_int
 
 let to_string t =

@@ -33,14 +33,12 @@ val lsym : t -> Sym.t
 (** The pre-interned URI symbol, [-1] for no namespace. *)
 val usym : t -> int
 
-(** Equality on expanded name: URI and local part only. Symbol compare
-    when interned fast paths are on, string compare under the
-    [--no-interning] ablation — same decisions either way. *)
+(** Equality on expanded name: URI and local part only, decided by
+    comparing the pre-interned symbols. *)
 val equal : t -> t -> bool
 
-(** String-based order in both modes (symbol ids are intern-order and
-    must not leak into sorted output); the fast path short-circuits
-    equality to O(1). *)
+(** String-based order (symbol ids are intern-order and must not leak
+    into sorted output); equal names short-circuit to O(1). *)
 val compare : t -> t -> int
 
 (** Mix of the pre-interned symbols; consistent with {!equal}. *)

@@ -7,11 +7,7 @@
     only grows — interned strings are never collected — which is the
     right trade for names (documents reuse a small vocabulary) and is
     observable through {!stats} / the [browser:stats()] [sym] element.
-
-    The table itself is always on: {!Qname.t} carries pre-interned
-    symbols unconditionally. The {!fastpaths} switch (the
-    [--no-interning] ablation) only gates the comparison fast paths
-    that consult symbols instead of strings. *)
+    {!Qname.t} carries pre-interned symbols unconditionally. *)
 
 type t = private int
 
@@ -29,17 +25,6 @@ val name : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
 val hash : t -> int
-
-(** {1 Ablation switch}
-
-    Gates the symbol fast paths ([Qname.equal]/[compare], evaluator
-    name tests, symbol index probes). The intern table keeps running
-    either way, so toggling mid-session never invalidates symbol-keyed
-    state. Exposed as a ref so hot paths can read it with one load. *)
-
-val fastpaths : bool ref
-val set_fastpaths : bool -> unit
-val fastpaths_enabled : unit -> bool
 
 (** {1 Stats} *)
 

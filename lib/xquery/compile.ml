@@ -2,17 +2,18 @@
    composed bottom-up at compile time, so a run performs direct calls
    instead of re-dispatching on the AST at every node. Variable access
    is a frame-array read (slots resolved by the lowering pass), hot
-   shapes (steps with name tests, predicate chains, singleton
-   arithmetic/comparison, FLWOR loops) are specialized, and everything
-   the compiler does not own delegates to the tree-walking {!Eval} —
-   including the streaming, value-index and hash-join fast paths, which
-   compiled code must reach, not bypass.
+   shapes (FLWOR loops, literal ranges, single-origin forward steps)
+   are specialized, and everything the compiler does not own delegates
+   to the tree-walking {!Eval} — including the streaming, value-index
+   and hash-join fast paths, which compiled code must reach, not
+   bypass.
 
    Exact-parity rules the emitter follows:
 
-   - every closure replicates the corresponding [Eval.eval] arm
-     operation-for-operation (same evaluation order, same error codes
-     and messages, same metric increments);
+   - every closure evaluates its operands in the order the
+     corresponding [Eval.eval] arm does and then makes the one call to
+     the evaluator's shared rule that arm makes, so error codes,
+     messages and metric increments agree by construction;
    - effective-boolean contexts and bounded positional takes delegate
      to [Eval.eval_seq] on the original AST when streaming is on, so
      pull counters match the interpreter pull-for-pull;
@@ -55,9 +56,6 @@ let stats () =
     ("opaque-nodes", !stat_opaque);
   ]
 
-let err code fmt = Xq_error.raise_error code fmt
-let type_err fmt = err Xq_error.type_error_code fmt
-
 (* ------------------------------------------------------------------ *)
 (* interpreter bridges                                                 *)
 
@@ -92,36 +90,8 @@ let streams_natively (e : Ast.expr) =
   | Ast.E_hash_join j -> j.Ast.jorder = []
   | _ -> false
 
-let atomize_seq cur =
-  Seq.concat_map (fun it -> List.to_seq (I.atomize [ it ])) (Xdm_seq.items cur)
-
-let call_ctx (ctx : D.t) =
-  {
-    Call_ctx.context_item =
-      (match ctx.D.focus with Some f -> Some f.D.item | None -> None);
-    position = (match ctx.D.focus with Some f -> f.D.position | None -> 0);
-    size = (match ctx.D.focus with Some f -> f.D.size | None -> 0);
-    doc = ctx.D.host.D.doc;
-    doc_available = ctx.D.host.D.doc_available;
-    put = ctx.D.host.D.put;
-    now = ctx.D.host.D.now;
-    trace = Call_ctx.default.Call_ctx.trace;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* emission                                                            *)
-
-type attr_piece = P_text of string | P_enclosed of (env -> I.sequence)
-
-(* integer endpoint of a range operand, per the interpreter's E_range
-   rule: an empty operand yields no range; a failing cast propagates *)
-let range_endpoint (f : env -> I.sequence) env =
-  match I.opt_atomic (f env) with
-  | None -> None
-  | Some a -> (
-      match Eval.protect (fun () -> A.cast ~target:A.T_integer a) with
-      | A.Integer i -> Some i
-      | _ -> None)
 
 let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
   incr stat_nodes;
@@ -133,21 +103,15 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
   | C.C_slot s -> fun env -> !(env.frame.(s))
   | C.C_free qn -> fun env -> D.lookup env.ctx qn
   | C.C_context_item -> fun env -> [ D.focus_item env.ctx ]
-  | C.C_root -> (
-      fun env ->
-        match D.focus_item env.ctx with
-        | I.Node n -> [ I.Node (Dom.root n) ]
-        | I.Atomic _ -> type_err "the context item for '/' is not a node")
+  | C.C_root -> fun env -> Eval.root env.ctx
   | C.C_sequence cs ->
       let fs = List.map (emit scope) cs in
       fun env -> List.concat_map (fun f -> f env) fs
   | C.C_range (a, b) ->
       let fa = emit scope a and fb = emit scope b in
       fun env ->
-        (match (range_endpoint fa env, range_endpoint fb env) with
-        | Some lo, Some hi when lo <= hi ->
-            List.init (hi - lo + 1) (fun i -> I.Atomic (A.Integer (lo + i)))
-        | _ -> [])
+        let lo = Eval.range_endpoint (fa env) in
+        Eval.range lo (Eval.range_endpoint (fb env))
   | C.C_if (cond, t, f) ->
       let fc = emit_ebv scope cond
       and ft = emit scope t
@@ -163,198 +127,66 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
       fun env ->
         if not (fa env) then [ I.Atomic (A.Boolean false) ]
         else [ I.Atomic (A.Boolean (fb env)) ]
-  | C.C_value_comp (op, a, b) -> (
+  | C.C_value_comp (op, a, b) ->
       let fa = emit scope a and fb = emit scope b in
       fun env ->
-        let ra = fa env and rb = fb env in
-        match (ra, rb) with
-        | [ I.Atomic (A.Integer i) ], [ I.Atomic (A.Integer j) ] ->
-            (* hot shape: integer operands need no promotion and no
-               NaN guard (same result as {!Eval.value_compare_pair}) *)
-            let r =
-              match op with
-              | Ast.Eq -> i = j
-              | Ast.Ne -> i <> j
-              | Ast.Lt -> i < j
-              | Ast.Le -> i <= j
-              | Ast.Gt -> i > j
-              | Ast.Ge -> i >= j
-            in
-            [ I.Atomic (A.Boolean r) ]
-        | _ -> (
-            match (I.atomize ra, I.atomize rb) with
-            | [], _ | _, [] -> []
-            | [ x ], [ y ] ->
-                [ I.Atomic (A.Boolean (Eval.value_compare_pair op x y)) ]
-            | _ -> type_err "value comparison requires singleton operands"))
+        let ra = fa env in
+        Eval.value_comp op ra (fb env)
   | C.C_general_comp (op, a, b) ->
       let fa = emit scope a and fb = emit scope b in
       fun env ->
-        let va = I.atomize (fa env) and vb = I.atomize (fb env) in
-        let result =
-          List.exists
-            (fun x -> List.exists (fun y -> Eval.general_compare_pair op x y) vb)
-            va
-        in
-        [ I.Atomic (A.Boolean result) ]
+        let ra = fa env in
+        Eval.general_comp op ra (fb env)
   | C.C_general_comp_stream (op, lhs_ast, b) ->
       let fb = emit scope b and rb = rebind_of scope in
       fun env ->
-        if Eval.streaming_enabled () then begin
-          let vb = I.atomize (fb env) in
-          let result =
-            Seq.exists
-              (fun x ->
-                List.exists (fun y -> Eval.general_compare_pair op x y) vb)
-              (atomize_seq (Eval.eval_seq (rb env) lhs_ast))
-          in
-          [ I.Atomic (A.Boolean result) ]
-        end
+        if Eval.streaming_enabled () then
+          let vb = fb env in
+          Eval.general_comp_stream op (Eval.eval_seq (rb env) lhs_ast) vb
         else
-          let va = I.atomize (Eval.eval (rb env) lhs_ast)
-          and vb = I.atomize (fb env) in
-          let result =
-            List.exists
-              (fun x ->
-                List.exists (fun y -> Eval.general_compare_pair op x y) vb)
-              va
-          in
-          [ I.Atomic (A.Boolean result) ]
-  | C.C_node_comp (op, a, b) -> (
+          let ra = Eval.eval (rb env) lhs_ast in
+          Eval.general_comp op ra (fb env)
+  | C.C_node_comp (op, a, b) ->
       let fa = emit scope a and fb = emit scope b in
       fun env ->
-        let na = fa env and nb = fb env in
-        match (na, nb) with
-        | [], _ | _, [] -> []
-        | [ I.Node x ], [ I.Node y ] ->
-            let r =
-              match op with
-              | Ast.Is -> Dom.equal x y
-              | Ast.Precedes -> Dom.compare_order x y < 0
-              | Ast.Follows -> Dom.compare_order x y > 0
-            in
-            [ I.Atomic (A.Boolean r) ]
-        | _ -> type_err "node comparison requires single nodes")
-  | C.C_arith (op, a, b) -> (
+        let na = fa env in
+        Eval.node_comp op na (fb env)
+  | C.C_arith (op, a, b) ->
       let fa = emit scope a and fb = emit scope b in
-      let f =
-        match op with
-        | Ast.Add -> A.add
-        | Ast.Sub -> A.subtract
-        | Ast.Mul -> A.multiply
-        | Ast.Div -> A.divide
-        | Ast.Idiv -> A.integer_divide
-        | Ast.Mod -> A.modulo
-      in
+      let f = Eval.arith op in
       fun env ->
-        let ra = fa env and rb = fb env in
-        match (ra, rb) with
-        | [ I.Atomic (A.Integer i as x) ], [ I.Atomic (A.Integer j as y) ]
-          -> (
-            (* hot shape: integer-integer arithmetic is a direct int
-               op ({!Xdm_atomic.numeric_op} with an identity
-               promotion); division and the by-zero cases keep the
-               generic path for its error mapping *)
-            match op with
-            | Ast.Add -> [ I.Atomic (A.Integer (i + j)) ]
-            | Ast.Sub -> [ I.Atomic (A.Integer (i - j)) ]
-            | Ast.Mul -> [ I.Atomic (A.Integer (i * j)) ]
-            | Ast.Mod when j <> 0 -> [ I.Atomic (A.Integer (i mod j)) ]
-            | Ast.Idiv when j <> 0 -> [ I.Atomic (A.Integer (i / j)) ]
-            | _ -> [ I.Atomic (Eval.protect (fun () -> f x y)) ])
-        | _ -> (
-            match (I.atomize ra, I.atomize rb) with
-            | [], _ | _, [] -> []
-            | [ x ], [ y ] -> [ I.Atomic (Eval.protect (fun () -> f x y)) ]
-            | _ -> type_err "arithmetic requires singleton operands"))
-  | C.C_unary_minus a -> (
+        let ra = fa env in
+        f ra (fb env)
+  | C.C_unary_minus a ->
       let fa = emit scope a in
-      fun env ->
-        match I.atomize (fa env) with
-        | [] -> []
-        | [ x ] -> [ I.Atomic (Eval.protect (fun () -> A.negate x)) ]
-        | _ -> type_err "unary minus requires a singleton operand")
-  | C.C_union (a, b) ->
-      let fa = emit scope a and fb = emit scope b in
-      fun env -> Eval.protect (fun () -> I.union (fa env) (fb env))
-  | C.C_intersect (a, b) ->
-      let fa = emit scope a and fb = emit scope b in
-      fun env -> Eval.protect (fun () -> I.intersect (fa env) (fb env))
-  | C.C_except (a, b) ->
-      let fa = emit scope a and fb = emit scope b in
-      fun env -> Eval.protect (fun () -> I.except (fa env) (fb env))
+      fun env -> Eval.unary_minus (fa env)
+  | C.C_union (a, b) -> emit_set_op scope I.union a b
+  | C.C_intersect (a, b) -> emit_set_op scope I.intersect a b
+  | C.C_except (a, b) -> emit_set_op scope I.except a b
   | C.C_instance_of (a, st) ->
       let fa = emit scope a in
-      fun env -> [ I.Atomic (A.Boolean (Seq_type.matches st (fa env))) ]
+      fun env -> Eval.instance_of st (fa env)
   | C.C_treat_as (a, st) ->
       let fa = emit scope a in
-      fun env ->
-        let v = fa env in
-        if Seq_type.matches st v then v
-        else
-          err "XPDY0050" "treat as %s failed on a sequence of %d item(s)"
-            (Seq_type.to_string st) (List.length v)
-  | C.C_castable_as (a, ty, optional) -> (
+      fun env -> Eval.treat_as st (fa env)
+  | C.C_castable_as (a, ty, optional) ->
       let fa = emit scope a in
-      fun env ->
-        match I.atomize (fa env) with
-        | [] -> [ I.Atomic (A.Boolean optional) ]
-        | [ x ] -> [ I.Atomic (A.Boolean (A.castable ~target:ty x)) ]
-        | _ -> [ I.Atomic (A.Boolean false) ])
-  | C.C_cast_as (a, ty, optional) -> (
+      fun env -> Eval.castable_as ty optional (fa env)
+  | C.C_cast_as (a, ty, optional) ->
       let fa = emit scope a in
-      fun env ->
-        match I.atomize (fa env) with
-        | [] ->
-            if optional then []
-            else type_err "cast of an empty sequence to a non-optional type"
-        | [ x ] -> [ I.Atomic (Eval.protect (fun () -> A.cast ~target:ty x)) ]
-        | _ -> type_err "cast requires a singleton operand")
+      fun env -> Eval.cast_as ty optional (fa env)
   | C.C_step (axis, test, preds, ast_preds) ->
       let pfs = List.map (emit scope) preds in
-      let scan env =
-        match D.focus_item env.ctx with
-        | I.Atomic _ -> type_err "axis step applied to an atomic context item"
-        | I.Node n -> (
-            match Eval.value_index_step axis test ast_preds n with
-            | Some (nodes, _) ->
-                apply_preds env
-                  (List.map (fun m -> I.Node m) nodes)
-                  (List.tl pfs)
-            | None ->
-                apply_preds env
-                  (List.map (fun m -> I.Node m) (Eval.step_nodes axis test n))
-                  pfs)
-      in
-      with_bounded_take scope c.C.ast scan
+      with_bounded_take scope c.C.ast (fun env ->
+          Eval.step env.ctx axis test ast_preds pfs ~filter env)
   | C.C_filter (e, preds) ->
       let fe = emit scope e in
       let pfs = List.map (emit scope) preds in
-      with_bounded_take scope c.C.ast (fun env -> apply_preds env (fe env) pfs)
+      with_bounded_take scope c.C.ast (fun env -> filter env (fe env) pfs)
   | C.C_path (a, b) ->
       let fa = emit scope a and fb = emit scope b in
       let eager_from env lhs =
-        let n = List.length lhs in
-        let results =
-          List.concat
-            (List.mapi
-               (fun i item ->
-                 match item with
-                 | I.Node _ ->
-                     fb
-                       {
-                         env with
-                         ctx = D.with_focus env.ctx item ~position:(i + 1) ~size:n;
-                       }
-                 | I.Atomic _ -> type_err "path step applied to an atomic value")
-               lhs)
-        in
-        if results = [] then []
-        else if I.all_nodes results then
-          Eval.protect (fun () -> I.document_order results)
-        else if List.exists I.is_node results then
-          err "XPTY0018" "path result mixes nodes and atomic values"
-        else results
+        Eval.path env.ctx lhs (fun ctx -> fb { env with ctx })
       in
       let eager =
         (* hot shape: a predicate-free forward step over a singleton
@@ -369,8 +201,6 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
               | [] -> []
               | [ I.Node n ] ->
                   List.map (fun m -> I.Node m) (Eval.step_nodes axis test n)
-              | [ I.Atomic _ ] ->
-                  type_err "path step applied to an atomic value"
               | lhs -> eager_from env lhs)
         | _ -> fun env -> eager_from env (fa env)
       in
@@ -394,12 +224,7 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
         | _ -> scope'
       in
       let bodyf = emit scope' body in
-      let what = "$" ^ Qname.to_string var in
-      let coerce iv =
-        match var_type with
-        | Some st -> Seq_type.coerce ~what st iv
-        | None -> iv
-      in
+      let coerce = Eval.coerce_binding var var_type in
       (* accumulate body results item by item instead of building a
          list of lists and concatenating: same order, one allocation
          less per iteration *)
@@ -420,8 +245,9 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
           (* hot shape: iterate the range without materialising it *)
           let fa = emit scope ra and fb = emit scope rb in
           fun env ->
-            (match (range_endpoint fa env, range_endpoint fb env) with
-            | Some lo, Some hi when lo <= hi ->
+            let lo = Eval.range_endpoint (fa env) in
+            (match Eval.range_bounds lo (Eval.range_endpoint (fb env)) with
+            | Some (lo, hi) ->
                 let acc = ref [] in
                 for i = lo to hi do
                   bind_at env (i - lo + 1) (I.Atomic (A.Integer i));
@@ -442,48 +268,23 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
   | C.C_let { slot; var; var_type; value; body } ->
       let fv = emit scope value in
       let bodyf = emit ((var, slot) :: scope) body in
-      let what = "$" ^ Qname.to_string var in
+      let coerce = Eval.coerce_binding var var_type in
       fun env ->
-        let v = fv env in
-        let v =
-          match var_type with Some st -> Seq_type.coerce ~what st v | None -> v
-        in
-        env.frame.(slot) <- ref v;
+        env.frame.(slot) <- ref (coerce (fv env));
         bodyf env
   | C.C_where (cond, body) ->
       let fc = emit_ebv scope cond and bodyf = emit scope body in
       fun env -> if fc env then bodyf env else []
-  | C.C_cast_call (ty, a) -> (
+  | C.C_cast_call (ty, a) ->
       let fa = emit scope a in
-      fun env ->
-        let v = fa env in
-        if !Obs.Metrics.enabled then begin
-          Obs.Metrics.incr "eval.calls";
-          Obs.Metrics.incr "eval.calls.constructor"
-        end;
-        match v with
-        (* hot shape: xs:integer on an integer is the identity cast *)
-        | [ I.Atomic (A.Integer _) ] when ty = A.T_integer -> v
-        | _ -> (
-            match I.atomize v with
-            | [] -> []
-            | [ x ] ->
-                [ I.Atomic (Eval.protect (fun () -> A.cast ~target:ty x)) ]
-            | _ -> type_err "constructor function requires a singleton"))
+      fun env -> Eval.constructor_cast ty (fa env)
   | C.C_builtin_call (qn, impl, args) ->
       let fs = List.map (emit scope) args in
-      (* this dispatch bypasses Eval.call_function, so the recorded-run
-         impurity check must be replicated here; the test is hoisted to
-         emission time *)
+      (* the impurity test is hoisted to emission time *)
       let impure = Reactive.impure_builtin_sym qn.Qname.lsym in
       fun env ->
         let vs = List.map (fun f -> f env) fs in
-        if !Obs.Metrics.enabled then begin
-          Obs.Metrics.incr "eval.calls";
-          Obs.Metrics.incr "eval.calls.builtin"
-        end;
-        if impure then Footprint.poison ();
-        Eval.protect (fun () -> impl (call_ctx env.ctx) vs)
+        Eval.call_builtin ~impure env.ctx impl vs
   | C.C_call (qn, args) ->
       let fs = List.map (emit scope) args in
       fun env ->
@@ -496,60 +297,51 @@ let rec emit (scope : scope) (c : C.t) : env -> I.sequence =
             ( an,
               List.map
                 (function
-                  | C.CA_text t -> P_text t
-                  | C.CA_enclosed e -> P_enclosed (emit scope e))
+                  | C.CA_text t -> `Text t
+                  | C.CA_enclosed e -> `Enclosed (emit scope e))
                 parts ))
           attributes
       in
       let children = List.map (emit scope) children in
       fun env ->
-        let el = Dom.create_element name in
-        let attrs =
-          List.map
-            (fun (an, parts) ->
-              ( an,
-                String.concat ""
-                  (List.map
-                     (function
-                       | P_text t -> t
-                       | P_enclosed f -> I.sequence_string (f env))
-                     parts) ))
-            attributes
-        in
-        Eval.construct ~attrs el (List.concat_map (fun f -> f env) children)
+        Eval.direct_element name attributes
+          ~part:(function `Text t -> `Text t | `Enclosed f -> `Value (f env))
+          ~children:(fun () -> List.concat_map (fun f -> f env) children)
   | C.C_computed_element (name_c, content_c) ->
       let fn = emit scope name_c and fc = emit scope content_c in
       fun env ->
-        let name = Eval.qname_of_value env.ctx (I.singleton_atomic (fn env)) in
-        let el = Dom.create_element name in
-        Eval.construct el (fc env)
+        let name = Eval.constructed_name env.ctx (fn env) in
+        Eval.computed_element name (fun () -> fc env)
   | C.C_computed_attribute (name_c, content_c) ->
       let fn = emit scope name_c and fc = emit scope content_c in
       fun env ->
-        let name = Eval.qname_of_value env.ctx (I.singleton_atomic (fn env)) in
-        let value = I.sequence_string (fc env) in
-        [ I.Node (Dom.create_attribute name value) ]
+        let name = Eval.constructed_name env.ctx (fn env) in
+        Eval.computed_attribute name (fc env)
   | C.C_computed_text a ->
       let fa = emit scope a in
-      fun env -> [ I.Node (Dom.create_text (I.sequence_string (fa env))) ]
+      fun env -> Eval.computed_text (fa env)
   | C.C_computed_comment a ->
       let fa = emit scope a in
-      fun env -> [ I.Node (Dom.create_comment (I.sequence_string (fa env))) ]
+      fun env -> Eval.computed_comment (fa env)
   | C.C_computed_pi (name_c, content_c) ->
       let fn = emit scope name_c and fc = emit scope content_c in
       fun env ->
-        let target = I.sequence_string (fn env) in
-        [ I.Node (Dom.create_pi ~target (I.sequence_string (fc env))) ]
+        let target = fn env in
+        Eval.computed_pi target (fc env)
   | C.C_computed_document a ->
       let fa = emit scope a in
-      fun env ->
-        let doc = Dom.create_document () in
-        Eval.construct doc (fa env)
+      fun env -> Eval.computed_document (fun () -> fa env)
   | C.C_opaque ast ->
       incr stat_opaque;
       if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.compile.opaque";
       let rb = rebind_of scope in
       fun env -> Eval.eval (rb env) ast
+
+and emit_set_op scope op a b =
+  let fa = emit scope a and fb = emit scope b in
+  fun env ->
+    let ra = fa env in
+    Eval.set_op op ra (fb env)
 
 (* effective boolean value of a compiled subexpression: natively
    streaming forms delegate to the interpreter's lazy cursors (same
@@ -579,25 +371,11 @@ and with_bounded_take scope ast eager =
   end
   else eager
 
-(* predicate chains, replicating {!Eval.apply_predicates}: per stage
-   the size is the stage input length, a numeric predicate value keeps
-   the item at that position *)
-and apply_preds env items pfs =
-  List.fold_left
-    (fun items pf ->
-      let n = List.length items in
-      List.filteri
-        (fun i item ->
-          let pos = i + 1 in
-          let fenv =
-            { env with ctx = D.with_focus env.ctx item ~position:pos ~size:n }
-          in
-          match pf fenv with
-          | [ I.Atomic a ] when A.is_numeric a ->
-              Eval.protect (fun () -> A.compare_value a (A.Integer pos) = 0)
-          | v -> I.effective_boolean v)
-        items)
-    items pfs
+(* a predicate chain over compiled predicates *)
+and filter env items = function
+  | [] -> items
+  | pfs ->
+      Eval.filter_items (fun ctx pf -> pf { env with ctx }) env.ctx items pfs
 
 (* ------------------------------------------------------------------ *)
 (* programs                                                            *)
@@ -626,39 +404,15 @@ let compile_fn static (decl : Ast.function_decl) :
       match compile_expr static ~params:pnames body with
       | None -> None
       | Some (bodyf, size) ->
-          let params = Array.of_list decl.Ast.params in
-          let name = Qname.to_string decl.Ast.fname in
-          let key = D.fn_key decl.Ast.fname ~arity:(Array.length params) in
-          let impl ctx args =
-            if ctx.D.depth > Eval.max_depth then
-              err "XQDY0054" "maximum recursion depth exceeded in %s" name;
-            let fctx = D.function_scope ctx in
-            let frame = Array.init size (fun _ -> ref []) in
-            List.iteri
-              (fun i arg ->
-                let pname, ptype = params.(i) in
-                let arg =
-                  match ptype with
-                  | Some st ->
-                      Seq_type.coerce ~what:("$" ^ Qname.to_string pname) st arg
-                  | None -> arg
-                in
-                frame.(i) <- ref arg)
-              args;
-            let result =
-              try bodyf { ctx = fctx; frame } with
-              | Eval.Exit_with v -> v
-              | Eval.Break_loop | Eval.Continue_loop ->
-                  err "XSST0010" "break/continue outside of a while loop"
-            in
-            match decl.Ast.return_type with
-            | Some st ->
-                Seq_type.coerce
-                  ~what:(Qname.to_string decl.Ast.fname ^ " result")
-                  st result
-            | None -> result
+          let key =
+            D.fn_key decl.Ast.fname ~arity:(List.length decl.Ast.params)
           in
-          Some (key, impl))
+          let run fctx args =
+            let frame = Array.init size (fun _ -> ref []) in
+            List.iteri (fun i arg -> frame.(i) <- ref arg) args;
+            bodyf { ctx = fctx; frame }
+          in
+          Some (key, fun ctx args -> Eval.call_user decl ctx args run))
 
 let compile_prog static (prog : Ast.prog) : prog_code =
   incr stat_programs;

@@ -102,7 +102,9 @@ and attr_part = CA_text of string | CA_enclosed of t
 (* lexical scope: innermost binding first *)
 type scope = (string * (Qname.t * slot)) list
 
-type st = { mutable next : slot; mutable high : slot }
+(* lowering state: the next free slot, the frame size so far, and the
+   static context call sites resolve against *)
+type st = { mutable next : slot; mutable high : slot; static : Static_context.t }
 
 let fresh st =
   let s = st.next in
@@ -133,11 +135,6 @@ let is_count_literal_shape a b =
     | _ -> false
   in
   (count_call a && int_literal b) || (int_literal a && count_call b)
-
-(* the static context call sites resolve against; set by {!lower}
-   around a lowering run (threading it through every [of_ast] call
-   would obscure the recursion for one leaf case) *)
-let resolver : Static_context.t option ref = ref None
 
 let rec of_ast st (scope : scope) (e : Ast.expr) : t =
   let k d = { d; ast = e } in
@@ -268,38 +265,31 @@ and lower_flwor st scope clauses where return =
 and lower_call st scope qn args =
   let nargs = List.length args in
   let cargs () = List.map (of_ast st scope) args in
-  match !resolver with
-  | None -> C_call (qn, cargs ())
-  | Some static -> (
-      if Static_context.is_blocked static qn then C_call (qn, cargs ())
-      else
-        match qn.Qname.uri with
-        | Some u when String.equal u Qname.Ns.xs && nargs = 1 -> (
-            match A.type_of_name qn.Qname.local with
-            | Some ty -> C_cast_call (ty, of_ast st scope (List.hd args))
-            | None -> C_call (qn, cargs ()))
-        | _ ->
-            if
-              Option.is_some (Static_context.find_function static qn ~arity:nargs)
-              || Option.is_some
-                   (Static_context.find_external static qn ~arity:nargs)
-            then C_call (qn, cargs ())
-            else (
-              match Functions.find qn ~arity:nargs with
-              | Some impl -> C_builtin_call (qn, impl, cargs ())
-              | None -> C_call (qn, cargs ())))
+  let static = st.static in
+  if Static_context.is_blocked static qn then C_call (qn, cargs ())
+  else
+    match qn.Qname.uri with
+    | Some u when String.equal u Qname.Ns.xs && nargs = 1 -> (
+        match A.type_of_name qn.Qname.local with
+        | Some ty -> C_cast_call (ty, of_ast st scope (List.hd args))
+        | None -> C_call (qn, cargs ()))
+    | _ -> (
+        if
+          Option.is_some (Static_context.find_function static qn ~arity:nargs)
+          || Option.is_some (Static_context.find_external static qn ~arity:nargs)
+        then C_call (qn, cargs ())
+        else
+          match Functions.find qn ~arity:nargs with
+          | Some impl -> C_builtin_call (qn, impl, cargs ())
+          | None -> C_call (qn, cargs ()))
 
 let lower static ?(params = []) (e : Ast.expr) : t * int =
-  let st = { next = List.length params; high = List.length params } in
+  let st = { next = List.length params; high = List.length params; static } in
   let scope =
     List.rev
       (List.mapi (fun i qn -> (Qname.to_clark qn, (qn, i))) params)
   in
-  resolver := Some static;
-  Fun.protect
-    ~finally:(fun () -> resolver := None)
-    (fun () ->
-      let core = of_ast st scope e in
-      (core, st.high))
+  let core = of_ast st scope e in
+  (core, st.high)
 
 let is_opaque_root c = match c.d with C_opaque _ -> true | _ -> false

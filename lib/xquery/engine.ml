@@ -148,9 +148,8 @@ let compile_cached ?(optimize = true) ?static source =
         c
   end
 
-let context_for ?host ?context_item ?(bindings = []) compiled =
-  let ctx = Dynamic_context.create ?host compiled.static in
-  (* install compiled function bodies before anything can call them
+let install ?(bindings = []) ctx compiled =
+  (* compiled function bodies go in before anything can call them
      (global-variable initializers may) *)
   (match compiled.code with
   | Some code when Compile.enabled () ->
@@ -159,63 +158,41 @@ let context_for ?host ?context_item ?(bindings = []) compiled =
           Hashtbl.replace ctx.Dynamic_context.compiled_fns key impl)
         code.Compile.fns
   | _ -> ());
+  List.iter (fun (qn, v) -> Dynamic_context.bind_global ctx qn v) bindings;
+  (* evaluate global variable declarations in order *)
+  List.iter
+    (fun (qn, st, init) ->
+      let v =
+        match init with
+        | Some e -> Eval.protect (fun () -> Eval.eval ctx e)
+        | None -> (
+            (* external variable: the caller must supply a value, which
+               is checked against the declared type (XQuery §2.2.3.2) *)
+            match List.find_opt (fun (b, _) -> Qname.equal b qn) bindings with
+            | Some (_, v) -> v
+            | None ->
+                Xq_error.raise_error "XPDY0002"
+                  "external variable $%s has no value" (Qname.to_string qn))
+      in
+      Dynamic_context.bind_global ctx qn (Eval.coerce_binding qn st v))
+    (Static_context.global_variables compiled.static)
+
+let context_for ?host ?context_item ?bindings compiled =
+  let ctx = Dynamic_context.create ?host compiled.static in
   let ctx =
     match context_item with
     | Some item -> Dynamic_context.with_focus ctx item ~position:1 ~size:1
     | None -> ctx
   in
-  List.iter (fun (qn, v) -> Dynamic_context.bind_global ctx qn v) bindings;
-  (* evaluate global variable declarations in order *)
-  List.iter
-    (fun (qn, st, init) ->
-      match init with
-      | Some e ->
-          let v = Eval.protect (fun () -> Eval.eval ctx e) in
-          let v =
-            match st with
-            | Some st ->
-                Seq_type.coerce ~what:("$" ^ Qname.to_string qn) st v
-            | None -> v
-          in
-          Dynamic_context.bind_global ctx qn v
-      | None -> (
-          (* external variable: the caller must supply a value, which
-             is checked against the declared type (XQuery §2.2.3.2) *)
-          match List.find_opt (fun (b, _) -> Qname.equal b qn) bindings with
-          | Some (_, v) ->
-              let v =
-                match st with
-                | Some st ->
-                    Seq_type.coerce ~what:("$" ^ Qname.to_string qn) st v
-                | None -> v
-              in
-              Dynamic_context.bind_global ctx qn v
-          | None ->
-              Xq_error.raise_error "XPDY0002"
-                "external variable $%s has no value" (Qname.to_string qn)))
-    (Static_context.global_variables compiled.static);
+  install ?bindings ctx compiled;
   ctx
 
 let eval_body ctx compiled =
-  let compiled_body =
-    match compiled.code with
-    | Some { Compile.body = Some f; _ } when Compile.enabled () -> Some f
-    | _ -> None
-  in
-  match (compiled_body, compiled.prog.Ast.body) with
-  | None, None -> []
-  | Some f, _ -> (
-      try Eval.protect (fun () -> f ctx) with
-      | Eval.Exit_with v -> v
-      | Eval.Break_loop | Eval.Continue_loop ->
-          Xq_error.raise_error "XSST0010"
-            "break/continue outside of a while loop")
-  | None, Some body -> (
-      try Eval.protect (fun () -> Eval.eval ctx body) with
-      | Eval.Exit_with v -> v
-      | Eval.Break_loop | Eval.Continue_loop ->
-          Xq_error.raise_error "XSST0010"
-            "break/continue outside of a while loop")
+  match (compiled.code, compiled.prog.Ast.body) with
+  | Some { Compile.body = Some f; _ }, _ when Compile.enabled () ->
+      Eval.run_body (fun () -> f ctx)
+  | _, Some body -> Eval.run_body (fun () -> Eval.eval ctx body)
+  | _, None -> []
 
 let run ?host ?context_item ?bindings compiled =
   let traced name f =

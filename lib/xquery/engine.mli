@@ -54,9 +54,19 @@ val query_cache : cached Query_cache.t
 val compile_cached :
   ?optimize:bool -> ?static:Static_context.t -> string -> compiled
 
+(** Make [ctx] ready to run a compiled program: installs its
+    closure-compiled functions (when compiled evaluation is on), binds
+    [bindings] and evaluates the prolog's global variables in order.
+    [bindings] supplies external variables; one without a value raises
+    XPDY0002. *)
+val install :
+  ?bindings:(Qname.t * Xdm_item.sequence) list ->
+  Dynamic_context.t ->
+  compiled ->
+  unit
+
 (** Build a dynamic context for a compiled program: binds the optional
-    context item and evaluates the prolog's global variables.
-    [bindings] pre-binds external variables. *)
+    context item, then {!install}s the program. *)
 val context_for :
   ?host:Dynamic_context.host ->
   ?context_item:Xdm_item.item ->
@@ -64,9 +74,11 @@ val context_for :
   compiled ->
   Dynamic_context.t
 
-(** Evaluate the program body in the given context. Does NOT apply the
-    pending update list (callers that want snapshot semantics use
-    {!run}). Library modules return the empty sequence. *)
+(** Evaluate the program body in the given context, as closure code
+    when compiled evaluation is on and the body compiled. [exit with]
+    returns its value; a stray [break]/[continue] raises XSST0010. Does
+    NOT apply the pending update list (callers that want snapshot
+    semantics use {!run}). Library modules return the empty sequence. *)
 val eval_body : Dynamic_context.t -> compiled -> Xdm_item.sequence
 
 (** Compile-and-run convenience: evaluates the body and applies the

@@ -32,6 +32,9 @@ let guard f =
 
 let protect = guard
 
+let singleton_comparison_error () =
+  type_err "value comparison requires singleton operands"
+
 (* ------------------------------------------------------------------ *)
 (* Axes                                                                *)
 
@@ -180,29 +183,20 @@ let step_nodes axis (test : Ast.node_test) n =
     | Ast.Descendant -> List.filter (fun m -> not (Dom.equal m n)) hits
     | _ -> hits
   in
-  let by_local local refine =
-    finish_local (Dom.get_elements_by_local_name n local) refine
-  in
-  (* Name_test probes by the pre-interned symbol when the interning fast
-     paths are on; the ablated path re-hashes the local-name string. *)
-  let by_sym sym refine =
-    finish_local (Dom.get_elements_by_local_sym n sym) refine
-  in
   match (axis, test) with
   | (Ast.Descendant | Ast.Descendant_or_self), Ast.Local_wildcard local
     when Dom.acceleration_enabled () ->
-      by_local local None
+      finish_local (Dom.get_elements_by_local_name n local) None
   | (Ast.Descendant | Ast.Descendant_or_self), Ast.Name_test qn
     when Dom.acceleration_enabled () ->
-      let refine =
-        Some
-          (fun m ->
-            match Dom.name m with
-            | Some nm -> Qname.equal nm qn
-            | None -> false)
-      in
-      if Sym.fastpaths_enabled () then by_sym qn.Qname.lsym refine
-      else by_local qn.Qname.local refine
+      (* probe by the name's pre-interned symbol *)
+      finish_local
+        (Dom.get_elements_by_local_sym n qn.Qname.lsym)
+        (Some
+           (fun m ->
+             match Dom.name m with
+             | Some nm -> Qname.equal nm qn
+             | None -> false))
   | _ ->
       if Footprint.recording () then record_axis_scope axis n;
       List.filter (node_test_matches ~axis test) (axis_nodes axis n)
@@ -258,15 +252,9 @@ let value_index_step axis test preds n =
       end;
       Some (List.sort_uniq Dom.compare_order nodes, rest)
     in
-    (* Probe by the Qname's pre-interned symbol when the interning fast
-       paths are on; the ablated probe re-hashes the local-name string
-       (both key the same buckets — interning is a bijection). *)
+    (* probes key on the Qname's pre-interned symbol *)
     let attr_lookup qn s ~general rest =
-      match
-        (if Sym.fastpaths_enabled () then
-           Dom.elements_by_attr_value_sym n ~local:qn.Qname.lsym s
-         else Dom.elements_by_attr_value n ~local:qn.Qname.local s)
-      with
+      match Dom.elements_by_attr_value_sym n ~local:qn.Qname.lsym s with
       | None -> None
       | Some bucket ->
           let keep el =
@@ -283,16 +271,12 @@ let value_index_step axis test preds n =
               match matching with
               | [] -> false
               | [ a ] -> Dom.string_value a = s
-              | _ -> type_err "value comparison requires singleton operands"
+              | _ -> singleton_comparison_error ()
           in
           finish (List.filter keep bucket) rest
     in
     let child_lookup qn s rest =
-      match
-        (if Sym.fastpaths_enabled () then
-           Dom.elements_by_text_value_sym n ~local:qn.Qname.lsym s
-         else Dom.elements_by_text_value n ~local:qn.Qname.local s)
-      with
+      match Dom.elements_by_text_value_sym n ~local:qn.Qname.lsym s with
       | None -> None
       | Some bucket ->
           let parents =
@@ -368,7 +352,22 @@ let worth_streaming = Focus_analysis.worth_streaming
 let has_bounded_take = Focus_analysis.has_bounded_take
 
 (* ------------------------------------------------------------------ *)
-(* Comparison helpers                                                  *)
+(* Shared rules                                                        *)
+
+(* Every rule below takes its operands already evaluated. Each arm of
+   [eval] and each closure {!Compile} emits evaluates its operands and
+   then makes one call here, so the two engines raise the same error
+   codes and messages and bump the same metrics by construction. *)
+
+let bool_seq b = [ I.Atomic (A.Boolean b) ]
+
+let count_call kind =
+  if !Obs.Metrics.enabled then begin
+    Obs.Metrics.incr "eval.calls";
+    Obs.Metrics.incr kind
+  end
+
+(* -------- comparisons -------- *)
 
 let value_compare_pair op a b =
   (* value comparison: untyped operands are compared as strings *)
@@ -399,8 +398,276 @@ let general_compare_pair op a b =
   let a, b = pair in
   value_compare_pair op a b
 
-(* ------------------------------------------------------------------ *)
-(* Constructors                                                        *)
+let value_comp op ra rb =
+  match (ra, rb) with
+  | [ I.Atomic (A.Integer i) ], [ I.Atomic (A.Integer j) ] ->
+      (* integer operands need no promotion and no NaN guard *)
+      bool_seq
+        (match (op : Ast.value_comp) with
+        | Ast.Eq -> i = j
+        | Ast.Ne -> i <> j
+        | Ast.Lt -> i < j
+        | Ast.Le -> i <= j
+        | Ast.Gt -> i > j
+        | Ast.Ge -> i >= j)
+  | _ -> (
+      match (I.atomize ra, I.atomize rb) with
+      | [], _ | _, [] -> []
+      | [ x ], [ y ] -> bool_seq (value_compare_pair op x y)
+      | _ -> singleton_comparison_error ())
+
+let atomize_seq cur =
+  Seq.concat_map (fun it -> List.to_seq (I.atomize [ it ])) (Xdm_seq.items cur)
+
+(* existential semantics: true at the first lhs atom matching some
+   rhs atom *)
+let general_match op vb x = List.exists (fun y -> general_compare_pair op x y) vb
+
+let general_comp op ra rb =
+  let va = I.atomize ra in
+  bool_seq (List.exists (general_match op (I.atomize rb)) va)
+
+let general_comp_stream op cur rb =
+  bool_seq (Seq.exists (general_match op (I.atomize rb)) (atomize_seq cur))
+
+let node_comp op na nb =
+  match (na, nb) with
+  | [], _ | _, [] -> []
+  | [ I.Node x ], [ I.Node y ] ->
+      bool_seq
+        (match (op : Ast.node_comp) with
+        | Ast.Is -> Dom.equal x y
+        | Ast.Precedes -> Dom.compare_order x y < 0
+        | Ast.Follows -> Dom.compare_order x y > 0)
+  | _ -> type_err "node comparison requires single nodes"
+
+(* -------- arithmetic -------- *)
+
+(* The operation is picked once per [op]; integer-integer operands
+   take a direct int op ({!Xdm_atomic.numeric_op} with an identity
+   promotion), except division and the by-zero cases, which keep the
+   generic path for its error mapping. *)
+let arith op =
+  let f =
+    match (op : Ast.arith) with
+    | Ast.Add -> A.add
+    | Ast.Sub -> A.subtract
+    | Ast.Mul -> A.multiply
+    | Ast.Div -> A.divide
+    | Ast.Idiv -> A.integer_divide
+    | Ast.Mod -> A.modulo
+  in
+  fun ra rb ->
+    match (ra, rb) with
+    | [ I.Atomic (A.Integer i as x) ], [ I.Atomic (A.Integer j as y) ] -> (
+        match op with
+        | Ast.Add -> [ I.Atomic (A.Integer (i + j)) ]
+        | Ast.Sub -> [ I.Atomic (A.Integer (i - j)) ]
+        | Ast.Mul -> [ I.Atomic (A.Integer (i * j)) ]
+        | Ast.Mod when j <> 0 -> [ I.Atomic (A.Integer (i mod j)) ]
+        | Ast.Idiv when j <> 0 -> [ I.Atomic (A.Integer (i / j)) ]
+        | _ -> [ I.Atomic (guard (fun () -> f x y)) ])
+    | _ -> (
+        match (I.atomize ra, I.atomize rb) with
+        | [], _ | _, [] -> []
+        | [ x ], [ y ] -> [ I.Atomic (guard (fun () -> f x y)) ]
+        | _ -> type_err "arithmetic requires singleton operands")
+
+(* union, intersect and except over node sequences *)
+let set_op op ra rb = guard (fun () -> op ra rb)
+
+let unary_minus v =
+  match I.atomize v with
+  | [] -> []
+  | [ x ] -> [ I.Atomic (guard (fun () -> A.negate x)) ]
+  | _ -> type_err "unary minus requires a singleton operand"
+
+(* -------- types -------- *)
+
+let instance_of st v = bool_seq (Seq_type.matches st v)
+
+let treat_as st v =
+  if Seq_type.matches st v then v
+  else
+    err "XPDY0050" "treat as %s failed on a sequence of %d item(s)"
+      (Seq_type.to_string st) (List.length v)
+
+let castable_as ty optional v =
+  match I.atomize v with
+  | [] -> bool_seq optional
+  | [ x ] -> bool_seq (A.castable ~target:ty x)
+  | _ -> bool_seq false
+
+let cast_as ty optional v =
+  match I.atomize v with
+  | [] ->
+      if optional then []
+      else type_err "cast of an empty sequence to a non-optional type"
+  | [ x ] -> [ I.Atomic (guard (fun () -> A.cast ~target:ty x)) ]
+  | _ -> type_err "cast requires a singleton operand"
+
+(* an xs: constructor function casts its atomized argument; xs:integer
+   on an integer is the identity *)
+let constructor_cast ty v =
+  count_call "eval.calls.constructor";
+  match v with
+  | [ I.Atomic (A.Integer _) ] when ty = A.T_integer -> v
+  | _ -> (
+      match I.atomize v with
+      | [] -> []
+      | [ x ] -> [ I.Atomic (guard (fun () -> A.cast ~target:ty x)) ]
+      | _ -> type_err "constructor function requires a singleton")
+
+(* -------- paths and predicates -------- *)
+
+let root ctx =
+  match D.focus_item ctx with
+  | I.Node n -> [ I.Node (Dom.root n) ]
+  | I.Atomic _ -> type_err "the context item for '/' is not a node"
+
+let node_items nodes = List.map (fun m -> I.Node m) nodes
+
+let atomic_context_step () =
+  type_err "axis step applied to an atomic context item"
+
+let atomic_path_step () = type_err "path step applied to an atomic value"
+
+(* One axis step from the focus node. The value index answers a
+   leading [@k eq 'lit'] predicate when it can, consuming it; otherwise
+   the axis is scanned. [filter x] applies the remaining predicates —
+   [preds] are their evaluable forms, [ast_preds] the surface forms the
+   index probe inspects. ([x] is passed through so that callers need
+   not allocate a closure per step.) *)
+let step ctx axis test ast_preds preds ~filter x =
+  match D.focus_item ctx with
+  | I.Atomic _ -> atomic_context_step ()
+  | I.Node n -> (
+      match value_index_step axis test ast_preds n with
+      | Some (nodes, _) -> filter x (node_items nodes) (List.tl preds)
+      | None -> filter x (node_items (step_nodes axis test n)) preds)
+
+(* a path's result: nodes in document order without duplicates,
+   atomics as they come, never a mix *)
+let path_result results =
+  if results = [] then []
+  else if I.all_nodes results then guard (fun () -> I.document_order results)
+  else if List.exists I.is_node results then
+    err "XPTY0018" "path result mixes nodes and atomic values"
+  else results
+
+(* the rhs of a path once per lhs item, that item as the focus *)
+let path ctx lhs rhs =
+  let n = List.length lhs in
+  path_result
+    (List.concat
+       (List.mapi
+          (fun i item ->
+            match item with
+            | I.Node _ -> rhs (D.with_focus ctx item ~position:(i + 1) ~size:n)
+            | I.Atomic _ -> atomic_path_step ())
+          lhs))
+
+(* a numeric predicate value keeps the item at that position; any
+   other value keeps it by its effective boolean value *)
+let predicate_keeps v pos =
+  match v with
+  | [ I.Atomic a ] when A.is_numeric a ->
+      guard (fun () -> A.compare_value a (A.Integer pos) = 0)
+  | v -> I.effective_boolean v
+
+(* a predicate chain; per stage the focus size is the stage input
+   length. [eval_pred] evaluates one predicate in a focus context. *)
+let filter_items eval_pred ctx items preds =
+  List.fold_left
+    (fun items pred ->
+      let n = List.length items in
+      List.filteri
+        (fun i item ->
+          let pos = i + 1 in
+          predicate_keeps
+            (eval_pred (D.with_focus ctx item ~position:pos ~size:n) pred)
+            pos)
+        items)
+    items preds
+
+(* -------- bindings and ranges -------- *)
+
+(* a declared type on a FLWOR, block or parameter binding *)
+let coerce_binding var = function
+  | None -> Fun.id
+  | Some st ->
+      let what = "$" ^ Qname.to_string var in
+      fun v -> Seq_type.coerce ~what st v
+
+(* an empty operand yields no range; a failing cast propagates *)
+let range_endpoint v =
+  match I.opt_atomic v with
+  | None -> None
+  | Some a -> (
+      match guard (fun () -> A.cast ~target:A.T_integer a) with
+      | A.Integer i -> Some i
+      | _ -> None)
+
+let range_bounds lo hi =
+  match (lo, hi) with
+  | Some lo, Some hi when lo <= hi -> Some (lo, hi)
+  | _ -> None
+
+let range lo hi =
+  match range_bounds lo hi with
+  | Some (lo, hi) ->
+      List.init (hi - lo + 1) (fun i -> I.Atomic (A.Integer (lo + i)))
+  | None -> []
+
+(* -------- calls -------- *)
+
+let call_ctx (ctx : D.t) =
+  {
+    Call_ctx.context_item =
+      (match ctx.D.focus with Some f -> Some f.D.item | None -> None);
+    position = (match ctx.D.focus with Some f -> f.D.position | None -> 0);
+    size = (match ctx.D.focus with Some f -> f.D.size | None -> 0);
+    doc = ctx.D.host.D.doc;
+    doc_available = ctx.D.host.D.doc_available;
+    put = ctx.D.host.D.put;
+    now = ctx.D.host.D.now;
+    trace = Call_ctx.default.Call_ctx.trace;
+  }
+
+(* [impure] builtins poison the footprint of a recorded listener run *)
+let call_builtin ~impure ctx impl args =
+  count_call "eval.calls.builtin";
+  if impure then Footprint.poison ();
+  guard (fun () -> impl (call_ctx ctx) args)
+
+(* the boundary of a function or program body: [exit with] returns
+   its value, a stray [break]/[continue] is an error *)
+let run_body f =
+  try guard f with
+  | Exit_with v -> v
+  | Break_loop | Continue_loop ->
+      err "XSST0010" "break/continue outside of a while loop"
+
+(* A user-function call: depth check, parameter coercion, the body
+   ([run], given the function scope and the coerced arguments) inside
+   {!run_body}, result coercion. *)
+let call_user (decl : Ast.function_decl) ctx args run =
+  if ctx.D.depth > max_depth then
+    err "XQDY0054" "maximum recursion depth exceeded in %s"
+      (Qname.to_string decl.Ast.fname);
+  let args =
+    List.map2
+      (fun (pname, ptype) arg -> coerce_binding pname ptype arg)
+      decl.Ast.params args
+  in
+  let fctx = D.function_scope ctx in
+  let result = run_body (fun () -> run fctx args) in
+  match decl.Ast.return_type with
+  | Some st ->
+      Seq_type.coerce ~what:(Qname.to_string decl.Ast.fname ^ " result") st result
+  | None -> result
+
+(* -------- constructors -------- *)
 
 (* Normalize a content sequence into child nodes and attribute nodes,
    per the XQuery constructor rules: adjacent atomics join with a
@@ -473,6 +740,47 @@ let qname_of_value ctx v =
   | A.String s | A.Untyped s -> Qname.of_string s
   | a -> type_err "expected a QName, got xs:%s" (A.type_name (A.type_of a))
 
+(* Constructors create their node before evaluating its content. A
+   direct constructor's attribute value concatenates its parts: [part]
+   classifies each as literal [`Text] or as the [`Value] of an enclosed
+   expression, which contributes its string value. *)
+let direct_element name attributes ~part ~children =
+  let el = Dom.create_element name in
+  let attrs =
+    List.map
+      (fun (an, parts) ->
+        ( an,
+          String.concat ""
+            (List.map
+               (fun p ->
+                 match part p with
+                 | `Text t -> t
+                 | `Value v -> I.sequence_string v)
+               parts) ))
+      attributes
+  in
+  construct ~attrs el (children ())
+
+let constructed_name ctx v = qname_of_value ctx (I.singleton_atomic v)
+
+let computed_element name content =
+  let el = Dom.create_element name in
+  construct el (content ())
+
+let computed_attribute name v =
+  [ I.Node (Dom.create_attribute name (I.sequence_string v)) ]
+
+let computed_text v = [ I.Node (Dom.create_text (I.sequence_string v)) ]
+let computed_comment v = [ I.Node (Dom.create_comment (I.sequence_string v)) ]
+
+let computed_pi target v =
+  let target = I.sequence_string target in
+  [ I.Node (Dom.create_pi ~target (I.sequence_string v)) ]
+
+let computed_document content =
+  let doc = Dom.create_document () in
+  construct doc (content ())
+
 (* ------------------------------------------------------------------ *)
 (* The evaluator                                                       *)
 
@@ -483,11 +791,9 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   | Ast.E_var qn -> D.lookup ctx qn
   | Ast.E_context_item -> [ D.focus_item ctx ]
   | Ast.E_sequence es -> List.concat_map (eval ctx) es
-  | Ast.E_range (a, b) -> (
-      match range_bounds ctx a b with
-      | Some (lo, hi) ->
-          List.init (hi - lo + 1) (fun i -> I.Atomic (A.Integer (lo + i)))
-      | None -> [])
+  | Ast.E_range (a, b) ->
+      let lo = range_endpoint (eval ctx a) in
+      range lo (range_endpoint (eval ctx b))
   | Ast.E_if (c, t, f) ->
       if ebv_stream ctx c then eval ctx t else eval ctx f
   | Ast.E_or (a, b) ->
@@ -507,98 +813,37 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   | Ast.E_general_comp (op, Ast.E_literal (A.Integer k), Ast.E_call (qn, [ arg ]))
     when !streaming && resolves_to_builtin ctx qn "count" ~arity:1 ->
       bounded_count ctx (Focus_analysis.mirror_comp op) arg k
-  | Ast.E_value_comp (op, a, b) -> (
-      let va = I.atomize (eval ctx a) and vb = I.atomize (eval ctx b) in
-      match (va, vb) with
-      | [], _ | _, [] -> []
-      | [ x ], [ y ] -> [ I.Atomic (A.Boolean (value_compare_pair op x y)) ]
-      | _ -> type_err "value comparison requires singleton operands")
+  | Ast.E_value_comp (op, a, b) ->
+      let ra = eval ctx a in
+      value_comp op ra (eval ctx b)
   | Ast.E_general_comp (op, a, b) when !streaming && worth_streaming a ->
-      (* existential semantics: materialise the (usually small) rhs,
-         stream the lhs and stop at the first matching pair *)
-      let vb = I.atomize (eval ctx b) in
-      let result =
-        Seq.exists
-          (fun x -> List.exists (fun y -> general_compare_pair op x y) vb)
-          (atomize_seq (eval_seq ctx a))
-      in
-      [ I.Atomic (A.Boolean result) ]
+      (* materialise the (usually small) rhs, stream the lhs *)
+      let rb = eval ctx b in
+      general_comp_stream op (eval_seq ctx a) rb
   | Ast.E_general_comp (op, a, b) ->
-      let va = I.atomize (eval ctx a) and vb = I.atomize (eval ctx b) in
-      let result =
-        List.exists
-          (fun x -> List.exists (fun y -> general_compare_pair op x y) vb)
-          va
-      in
-      [ I.Atomic (A.Boolean result) ]
-  | Ast.E_node_comp (op, a, b) -> (
-      let na = eval ctx a and nb = eval ctx b in
-      match (na, nb) with
-      | [], _ | _, [] -> []
-      | [ I.Node x ], [ I.Node y ] ->
-          let r =
-            match op with
-            | Ast.Is -> Dom.equal x y
-            | Ast.Precedes -> Dom.compare_order x y < 0
-            | Ast.Follows -> Dom.compare_order x y > 0
-          in
-          [ I.Atomic (A.Boolean r) ]
-      | _ -> type_err "node comparison requires single nodes")
+      let ra = eval ctx a in
+      general_comp op ra (eval ctx b)
+  | Ast.E_node_comp (op, a, b) ->
+      let na = eval ctx a in
+      node_comp op na (eval ctx b)
   | Ast.E_ftcontains (e, sel) ->
       let hay = eval ctx e in
       let text =
         String.concat " " (List.map I.item_string hay)
       in
       [ I.Atomic (A.Boolean (eval_ft ctx text sel)) ]
-  | Ast.E_arith (op, a, b) -> (
-      let va = I.atomize (eval ctx a) and vb = I.atomize (eval ctx b) in
-      match (va, vb) with
-      | [], _ | _, [] -> []
-      | [ x ], [ y ] ->
-          let f =
-            match op with
-            | Ast.Add -> A.add
-            | Ast.Sub -> A.subtract
-            | Ast.Mul -> A.multiply
-            | Ast.Div -> A.divide
-            | Ast.Idiv -> A.integer_divide
-            | Ast.Mod -> A.modulo
-          in
-          [ I.Atomic (guard (fun () -> f x y)) ]
-      | _ -> type_err "arithmetic requires singleton operands")
-  | Ast.E_unary_minus e -> (
-      match I.atomize (eval ctx e) with
-      | [] -> []
-      | [ x ] -> [ I.Atomic (guard (fun () -> A.negate x)) ]
-      | _ -> type_err "unary minus requires a singleton operand")
-  | Ast.E_union (a, b) -> guard (fun () -> I.union (eval ctx a) (eval ctx b))
-  | Ast.E_intersect (a, b) ->
-      guard (fun () -> I.intersect (eval ctx a) (eval ctx b))
-  | Ast.E_except (a, b) -> guard (fun () -> I.except (eval ctx a) (eval ctx b))
-  | Ast.E_instance_of (e, st) ->
-      [ I.Atomic (A.Boolean (Seq_type.matches st (eval ctx e))) ]
-  | Ast.E_treat_as (e, st) ->
-      let v = eval ctx e in
-      if Seq_type.matches st v then v
-      else
-        err "XPDY0050" "treat as %s failed on a sequence of %d item(s)"
-          (Seq_type.to_string st) (List.length v)
-  | Ast.E_castable_as (e, ty, optional) -> (
-      match I.atomize (eval ctx e) with
-      | [] -> [ I.Atomic (A.Boolean optional) ]
-      | [ x ] -> [ I.Atomic (A.Boolean (A.castable ~target:ty x)) ]
-      | _ -> [ I.Atomic (A.Boolean false) ])
-  | Ast.E_cast_as (e, ty, optional) -> (
-      match I.atomize (eval ctx e) with
-      | [] ->
-          if optional then []
-          else type_err "cast of an empty sequence to a non-optional type"
-      | [ x ] -> [ I.Atomic (guard (fun () -> A.cast ~target:ty x)) ]
-      | _ -> type_err "cast requires a singleton operand")
-  | Ast.E_root -> (
-      match D.focus_item ctx with
-      | I.Node n -> [ I.Node (Dom.root n) ]
-      | I.Atomic _ -> type_err "the context item for '/' is not a node")
+  | Ast.E_arith (op, a, b) ->
+      let ra = eval ctx a in
+      arith op ra (eval ctx b)
+  | Ast.E_unary_minus e -> unary_minus (eval ctx e)
+  | Ast.E_union (a, b) -> eval_set_op ctx I.union a b
+  | Ast.E_intersect (a, b) -> eval_set_op ctx I.intersect a b
+  | Ast.E_except (a, b) -> eval_set_op ctx I.except a b
+  | Ast.E_instance_of (e, st) -> instance_of st (eval ctx e)
+  | Ast.E_treat_as (e, st) -> treat_as st (eval ctx e)
+  | Ast.E_castable_as (e, ty, optional) -> castable_as ty optional (eval ctx e)
+  | Ast.E_cast_as (e, ty, optional) -> cast_as ty optional (eval ctx e)
+  | Ast.E_root -> root ctx
   (* a bounded positional take in the final step ((//x)[1],
      //x[position() le 10]): stream and stop pulling at the bound.
      E_path streams only when its chain is provably document-ordered
@@ -611,36 +856,9 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
          && seq_class e <> `Unknown
          && not (Ast.is_updating e) ->
       Xdm_seq.to_list (eval_seq ctx e)
-  | Ast.E_step (axis, test, preds) -> (
-      match D.focus_item ctx with
-      | I.Atomic _ -> type_err "axis step applied to an atomic context item"
-      | I.Node n -> (
-          match value_index_step axis test preds n with
-          | Some (nodes, rest) ->
-              apply_predicates ctx (List.map (fun m -> I.Node m) nodes) rest
-          | None ->
-              let nodes = step_nodes axis test n in
-              let items = List.map (fun n -> I.Node n) nodes in
-              apply_predicates ctx items preds))
-  | Ast.E_path (e1, e2) ->
-      let lhs = eval ctx e1 in
-      let n = List.length lhs in
-      let results =
-        List.concat
-          (List.mapi
-             (fun i item ->
-               match item with
-               | I.Node _ ->
-                   eval (D.with_focus ctx item ~position:(i + 1) ~size:n) e2
-               | I.Atomic _ ->
-                   type_err "path step applied to an atomic value")
-             lhs)
-      in
-      if results = [] then []
-      else if I.all_nodes results then guard (fun () -> I.document_order results)
-      else if List.exists I.is_node results then
-        err "XPTY0018" "path result mixes nodes and atomic values"
-      else results
+  | Ast.E_step (axis, test, preds) ->
+      step ctx axis test preds preds ~filter:apply_predicates ctx
+  | Ast.E_path (e1, e2) -> path ctx (eval ctx e1) (fun c -> eval c e2)
   | Ast.E_filter (e, preds) ->
       let items = eval ctx e in
       apply_predicates ctx items preds
@@ -718,40 +936,22 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   | Ast.E_enclosed e -> eval ctx e
   (* ---- constructors ---- *)
   | Ast.E_direct_element { name; attributes; children } ->
-      let el = Dom.create_element name in
-      let attrs =
-        List.map
-          (fun (an, parts) ->
-            ( an,
-              String.concat ""
-                (List.map
-                   (function
-                     | Ast.A_text t -> t
-                     | Ast.A_enclosed e -> I.sequence_string (eval ctx e))
-                   parts) ))
-          attributes
-      in
-      construct ~attrs el (List.concat_map (eval ctx) children)
+      direct_element name attributes
+        ~part:(function
+          | Ast.A_text t -> `Text t | Ast.A_enclosed e -> `Value (eval ctx e))
+        ~children:(fun () -> List.concat_map (eval ctx) children)
   | Ast.E_computed_element (name_e, content_e) ->
-      let name =
-        qname_of_value ctx (I.singleton_atomic (eval ctx name_e))
-      in
-      let el = Dom.create_element name in
-      construct el (eval ctx content_e)
+      let name = constructed_name ctx (eval ctx name_e) in
+      computed_element name (fun () -> eval ctx content_e)
   | Ast.E_computed_attribute (name_e, content_e) ->
-      let name = qname_of_value ctx (I.singleton_atomic (eval ctx name_e)) in
-      let value = I.sequence_string (eval ctx content_e) in
-      [ I.Node (Dom.create_attribute name value) ]
-  | Ast.E_computed_text e ->
-      [ I.Node (Dom.create_text (I.sequence_string (eval ctx e))) ]
-  | Ast.E_computed_comment e ->
-      [ I.Node (Dom.create_comment (I.sequence_string (eval ctx e))) ]
+      let name = constructed_name ctx (eval ctx name_e) in
+      computed_attribute name (eval ctx content_e)
+  | Ast.E_computed_text e -> computed_text (eval ctx e)
+  | Ast.E_computed_comment e -> computed_comment (eval ctx e)
   | Ast.E_computed_pi (name_e, content_e) ->
-      let target = I.sequence_string (eval ctx name_e) in
-      [ I.Node (Dom.create_pi ~target (I.sequence_string (eval ctx content_e))) ]
-  | Ast.E_computed_document e ->
-      let doc = Dom.create_document () in
-      construct doc (eval ctx e)
+      let target = eval ctx name_e in
+      computed_pi target (eval ctx content_e)
+  | Ast.E_computed_document e -> computed_document (fun () -> eval ctx e)
   (* ---- updates ---- *)
   | Ast.E_insert (pos, source_e, target_e) ->
       eval_insert ctx pos source_e target_e
@@ -798,7 +998,7 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
         | [ I.Node n ] -> n
         | _ -> err Xq_error.update_target "rename target must be a single node"
       in
-      let name = qname_of_value ctx (I.singleton_atomic (eval ctx name_e)) in
+      let name = constructed_name ctx (eval ctx name_e) in
       Pul.add ctx.D.pul (Pul.Rename (tnode, name));
       []
   | Ast.E_transform (binds, modify, return) ->
@@ -869,6 +1069,10 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
           | None -> [])
       | _ -> [])
 
+and eval_set_op ctx op a b =
+  let ra = eval ctx a in
+  set_op op ra (eval ctx b)
+
 and eval_ft ctx hay (sel : Ast.ft_selection) =
   match sel with
   | Ast.Ft_and (a, b) -> eval_ft ctx hay a && eval_ft ctx hay b
@@ -879,58 +1083,24 @@ and eval_ft ctx hay (sel : Ast.ft_selection) =
       let phrases = List.map I.item_string (eval ctx e) in
       List.exists (fun p -> Fulltext.contains ~stemming hay p) phrases
 
-and apply_predicates ctx items preds =
-  List.fold_left
-    (fun items pred ->
-      let n = List.length items in
-      let keep =
-        List.filteri
-          (fun i item ->
-            let pos = i + 1 in
-            let fctx = D.with_focus ctx item ~position:pos ~size:n in
-            let v = eval fctx pred in
-            match v with
-            | [ I.Atomic a ] when A.is_numeric a ->
-                guard (fun () -> A.compare_value a (A.Integer pos) = 0)
-            | v -> I.effective_boolean v)
-          items
-      in
-      keep)
-    items preds
+and apply_predicates ctx items preds = filter_items eval ctx items preds
 
 and eval_flwor ctx ~clauses ~where ~order ~return =
   (* build the tuple stream as a list of contexts *)
   let rec expand ctxs = function
     | [] -> ctxs
     | Ast.Let_clause { var; var_type; value } :: rest ->
-        let ctxs =
-          List.map
-            (fun c ->
-              let v = eval c value in
-              let v =
-                match var_type with
-                | Some st -> Seq_type.coerce ~what:("$" ^ Qname.to_string var) st v
-                | None -> v
-              in
-              D.bind c var v)
-            ctxs
-        in
-        expand ctxs rest
+        let coerce = coerce_binding var var_type in
+        expand (List.map (fun c -> D.bind c var (coerce (eval c value))) ctxs) rest
     | Ast.For_clause { var; pos_var; var_type; source } :: rest ->
+        let coerce = coerce_binding var var_type in
         let ctxs =
           List.concat_map
             (fun c ->
               let items = eval c source in
               List.mapi
                 (fun i item ->
-                  let item_seq = [ item ] in
-                  let item_seq =
-                    match var_type with
-                    | Some st ->
-                        Seq_type.coerce ~what:("$" ^ Qname.to_string var) st item_seq
-                    | None -> item_seq
-                  in
-                  let c = D.bind c var item_seq in
+                  let c = D.bind c var (coerce [ item ]) in
                   match pos_var with
                   | Some pv -> D.bind c pv [ I.Atomic (A.Integer (i + 1)) ]
                   | None -> c)
@@ -1051,7 +1221,6 @@ and hash_join_tuples ctx (j : Ast.hash_join) : D.t Seq.t =
        Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl;
        (tbl, !pidx, (match right with [] -> false | _ -> true)))
   in
-  let singleton_err () = type_err "value comparison requires singleton operands" in
   let probe item =
     let c = D.bind ctx j.Ast.jleft_var [ item ] in
     let tbl, pidx, had_rows = Lazy.force table in
@@ -1080,12 +1249,12 @@ and hash_join_tuples ctx (j : Ast.hash_join) : D.t Seq.t =
                  out; pulling past them reaches the erroring pair *)
               Seq.append
                 (List.to_seq (List.filter (fun (i, _) -> i < pidx) ms))
-                (fun () -> singleton_err ())
+                (fun () -> singleton_comparison_error ())
         | _ ->
             (* multi-valued [eq] probe key: every pair against a
                non-empty build key errors, and pairs against empty
                keys are false, so the first keyed build row raises *)
-            if Hashtbl.length tbl > 0 || pidx < max_int then singleton_err ()
+            if Hashtbl.length tbl > 0 || pidx < max_int then singleton_comparison_error ()
             else Seq.empty
       end
     in
@@ -1148,12 +1317,7 @@ and eval_block ctx ~script stmts =
         | Ast.S_var_decl (var, var_type, init) ->
             let v =
               match init with
-              | Some e ->
-                  let v = eval c e in
-                  Option.fold ~none:v
-                    ~some:(fun st ->
-                      Seq_type.coerce ~what:("$" ^ Qname.to_string var) st v)
-                    var_type
+              | Some e -> coerce_binding var var_type (eval c e)
               | None -> []
             in
             (D.bind c var v, [])
@@ -1209,19 +1373,6 @@ and eval_block ctx ~script stmts =
 
 (* -------- function calls -------- *)
 
-and build_call_ctx (ctx : D.t) =
-  {
-    Call_ctx.context_item =
-      (match ctx.D.focus with Some f -> Some f.D.item | None -> None);
-    position = (match ctx.D.focus with Some f -> f.D.position | None -> 0);
-    size = (match ctx.D.focus with Some f -> f.D.size | None -> 0);
-    doc = ctx.D.host.D.doc;
-    doc_available = ctx.D.host.D.doc_available;
-    put = ctx.D.host.D.put;
-    now = ctx.D.host.D.now;
-    trace = Call_ctx.default.Call_ctx.trace;
-  }
-
 and eval_call ctx qn arg_exprs =
   match (if !streaming then streaming_call ctx qn arg_exprs else None) with
   | Some r -> r
@@ -1231,25 +1382,9 @@ and eval_call ctx qn arg_exprs =
 
 (* ---- streaming machinery ---- *)
 
-and range_bounds ctx a b =
-  let intv e =
-    match I.opt_atomic (eval ctx e) with
-    | None -> None
-    | Some a -> (
-        match guard (fun () -> A.cast ~target:A.T_integer a) with
-        | A.Integer i -> Some i
-        | _ -> None)
-  in
-  match (intv a, intv b) with
-  | Some lo, Some hi when lo <= hi -> Some (lo, hi)
-  | _ -> None
-
 and ebv_stream ctx e =
   if !streaming then Xdm_seq.effective_boolean (eval_seq ctx e)
   else I.effective_boolean (eval ctx e)
-
-and atomize_seq cur =
-  Seq.concat_map (fun it -> List.to_seq (I.atomize [ it ])) (Xdm_seq.items cur)
 
 (* count(e) op k with m = min(count(e), k+1) pulled items:
    m op k ⟺ count(e) op k for every comparison operator *)
@@ -1284,22 +1419,17 @@ and streaming_call ctx qn arg_exprs =
   let builtin name =
     resolves_to_builtin ctx qn name ~arity:(List.length arg_exprs)
   in
-  let count_call () =
-    if !Obs.Metrics.enabled then begin
-      Obs.Metrics.incr "eval.calls";
-      Obs.Metrics.incr "eval.calls.builtin"
-    end
-  in
+  let count_builtin () = count_call "eval.calls.builtin" in
   let bool1 b =
-    count_call ();
-    Some [ I.Atomic (A.Boolean b) ]
+    count_builtin ();
+    Some (bool_seq b)
   in
   match arg_exprs with
   | [ e ] when builtin "exists" ->
       bool1 (not (Xdm_seq.is_empty (eval_seq ctx e)))
   | [ e ] when builtin "empty" -> bool1 (Xdm_seq.is_empty (eval_seq ctx e))
   | [ e ] when builtin "head" ->
-      count_call ();
+      count_builtin ();
       Some
         (match Xdm_seq.head (eval_seq ctx e) with
         | Some it -> [ it ]
@@ -1309,7 +1439,7 @@ and streaming_call ctx qn arg_exprs =
   | [ e ] when builtin "not" ->
       bool1 (not (Xdm_seq.effective_boolean (eval_seq ctx e)))
   | ([ _; _ ] | [ _; _; _ ]) when builtin "subsequence" ->
-      count_call ();
+      count_builtin ();
       Some (subsequence_stream ctx arg_exprs)
   | _ -> None
 
@@ -1367,7 +1497,8 @@ and eval_seq (ctx : D.t) (e : Ast.expr) : Xdm_seq.t =
               (Xdm_seq.make (fun () -> Xdm_seq.items (eval_seq ctx e) ())))
           Xdm_seq.empty es
     | Ast.E_range (a, b) -> (
-        match range_bounds ctx a b with
+        let lo = range_endpoint (eval ctx a) in
+        match range_bounds lo (range_endpoint (eval ctx b)) with
         | Some (lo, hi) ->
             Xdm_seq.of_seq
               (Seq.map
@@ -1378,7 +1509,7 @@ and eval_seq (ctx : D.t) (e : Ast.expr) : Xdm_seq.t =
         if ebv_stream ctx c then eval_seq ctx t else eval_seq ctx f
     | Ast.E_step (axis, test, preds) -> (
         match D.focus_item ctx with
-        | I.Atomic _ -> type_err "axis step applied to an atomic context item"
+        | I.Atomic _ -> atomic_context_step ()
         | I.Node n -> step_stream ctx axis test preds n)
     | Ast.E_path (e1, Ast.E_step (axis, test, preds))
       when (match seq_class e1 with
@@ -1396,7 +1527,7 @@ and eval_seq (ctx : D.t) (e : Ast.expr) : Xdm_seq.t =
              (fun item ->
                match item with
                | I.Node n -> Xdm_seq.items (step_stream ctx axis test preds n)
-               | I.Atomic _ -> type_err "path step applied to an atomic value")
+               | I.Atomic _ -> atomic_path_step ())
              (Xdm_seq.items lhs))
     | Ast.E_filter (e1, preds) ->
         apply_predicates_seq ctx (eval_seq ctx e1) preds
@@ -1439,9 +1570,7 @@ and step_stream_scan ctx axis test preds n =
             match t with
             | Ast.Local_wildcard l -> (Dom.get_elements_by_local_name n l, None)
             | Ast.Name_test qn ->
-                ( (if Sym.fastpaths_enabled () then
-                     Dom.get_elements_by_local_sym n qn.Qname.lsym
-                   else Dom.get_elements_by_local_name n qn.Qname.local),
+                ( Dom.get_elements_by_local_sym n qn.Qname.lsym,
                   Some
                     (fun m ->
                       match Dom.name m with
@@ -1491,10 +1620,7 @@ and apply_predicates_seq ctx cur preds =
               (fun i item ->
                 let pos = i + 1 in
                 let fctx = D.with_focus ctx item ~position:pos ~size:0 in
-                match eval fctx pred with
-                | [ I.Atomic a ] when A.is_numeric a ->
-                    guard (fun () -> A.compare_value a (A.Integer pos) = 0)
-                | v -> I.effective_boolean v)
+                predicate_keeps (eval fctx pred) pos)
               cur)
     cur preds
 
@@ -1502,35 +1628,16 @@ and flwor_seq ctx clauses where return =
   let rec expand (ctxs : D.t Seq.t) = function
     | [] -> ctxs
     | Ast.Let_clause { var; var_type; value } :: rest ->
-        expand
-          (Seq.map
-             (fun c ->
-               let v = eval c value in
-               let v =
-                 match var_type with
-                 | Some st ->
-                     Seq_type.coerce ~what:("$" ^ Qname.to_string var) st v
-                 | None -> v
-               in
-               D.bind c var v)
-             ctxs)
-          rest
+        let coerce = coerce_binding var var_type in
+        expand (Seq.map (fun c -> D.bind c var (coerce (eval c value))) ctxs) rest
     | Ast.For_clause { var; pos_var; var_type; source } :: rest ->
+        let coerce = coerce_binding var var_type in
         expand
           (Seq.concat_map
              (fun c ->
                Seq.mapi
                  (fun i item ->
-                   let item_seq = [ item ] in
-                   let item_seq =
-                     match var_type with
-                     | Some st ->
-                         Seq_type.coerce
-                           ~what:("$" ^ Qname.to_string var)
-                           st item_seq
-                     | None -> item_seq
-                   in
-                   let c = D.bind c var item_seq in
+                   let c = D.bind c var (coerce [ item ]) in
                    match pos_var with
                    | Some pv -> D.bind c pv [ I.Atomic (A.Integer (i + 1)) ]
                    | None -> c)
@@ -1552,45 +1659,34 @@ and call_function ctx qn args =
   if Static_context.is_blocked ctx.D.static qn then
     err Xq_error.security "function %s is blocked in this context (browser security policy)"
       (Qname.to_string qn);
-  let count kind =
-    if !Obs.Metrics.enabled then begin
-      Obs.Metrics.incr "eval.calls";
-      Obs.Metrics.incr kind
-    end
-  in
   (* xs: constructor functions are casts *)
   match qn.Qname.uri with
   | Some u when String.equal u Qname.Ns.xs && arity = 1 -> (
-      count "eval.calls.constructor";
       match A.type_of_name qn.Qname.local with
-      | Some ty -> (
-          match I.atomize (List.hd args) with
-          | [] -> []
-          | [ a ] -> [ I.Atomic (guard (fun () -> A.cast ~target:ty a)) ]
-          | _ -> type_err "constructor function requires a singleton")
+      | Some ty -> constructor_cast ty (List.hd args)
       | None ->
+          count_call "eval.calls.constructor";
           err Xq_error.unknown_function "unknown type constructor xs:%s"
             qn.Qname.local)
   | _ -> (
       match Static_context.find_function ctx.D.static qn ~arity with
       | Some decl ->
-          count "eval.calls.user";
+          count_call "eval.calls.user";
           call_user_function ctx decl args
       | None -> (
           match Static_context.find_external ctx.D.static qn ~arity with
           | Some f ->
-              count "eval.calls.external";
+              count_call "eval.calls.external";
               (* external functions reach host state the footprint
                  cannot see *)
               Footprint.poison ();
-              f (build_call_ctx ctx) args
+              f (call_ctx ctx) args
           | None -> (
               match Functions.find qn ~arity with
               | Some f ->
-                  count "eval.calls.builtin";
-                  if Reactive.impure_builtin_sym qn.Qname.lsym then
-                    Footprint.poison ();
-                  guard (fun () -> f (build_call_ctx ctx) args)
+                  call_builtin
+                    ~impure:(Reactive.impure_builtin_sym qn.Qname.lsym)
+                    ctx f args
               | None ->
                   err Xq_error.unknown_function
                     "unknown function %s#%d" (Qname.to_string qn) arity)))
@@ -1609,45 +1705,22 @@ and call_user_function ctx (decl : Ast.function_decl) args =
   | None -> call_user_function_ast ctx decl args)
 
 and call_user_function_ast ctx (decl : Ast.function_decl) args =
-  if ctx.D.depth > max_depth then
-    err "XQDY0054" "maximum recursion depth exceeded in %s"
-      (Qname.to_string decl.Ast.fname);
-  let fctx = D.function_scope ctx in
-  let fctx =
-    List.fold_left2
-      (fun c (pname, ptype) arg ->
-        let arg =
-          match ptype with
-          | Some st -> Seq_type.coerce ~what:("$" ^ Qname.to_string pname) st arg
-          | None -> arg
-        in
-        D.bind c pname arg)
-      fctx decl.Ast.params args
-  in
-  let body =
-    match decl.Ast.body with
-    | Some b -> b
-    | None ->
-        err Xq_error.unknown_function "external function %s has no implementation"
-          (Qname.to_string decl.Ast.fname)
-  in
-  let run () =
-    match (decl.Ast.kind, body) with
-    | Ast.F_sequential, Ast.E_block stmts -> eval_block fctx ~script:true stmts
-    | _, Ast.E_block [ Ast.S_expr e ] -> eval fctx e
-    | _, Ast.E_block stmts -> eval_block fctx ~script:true stmts
-    | _, e -> eval fctx e
-  in
-  let result =
-    try run () with
-    | Exit_with v -> v
-    | Break_loop | Continue_loop ->
-        err "XSST0010" "break/continue outside of a while loop"
-  in
-  match decl.Ast.return_type with
-  | Some st ->
-      Seq_type.coerce ~what:(Qname.to_string decl.Ast.fname ^ " result") st result
-  | None -> result
+  call_user decl ctx args (fun fctx args ->
+      let fctx =
+        List.fold_left2
+          (fun c (pname, _) arg -> D.bind c pname arg)
+          fctx decl.Ast.params args
+      in
+      match (decl.Ast.kind, decl.Ast.body) with
+      | _, None ->
+          err Xq_error.unknown_function
+            "external function %s has no implementation"
+            (Qname.to_string decl.Ast.fname)
+      | Ast.F_sequential, Some (Ast.E_block stmts) ->
+          eval_block fctx ~script:true stmts
+      | _, Some (Ast.E_block [ Ast.S_expr e ]) -> eval fctx e
+      | _, Some (Ast.E_block stmts) -> eval_block fctx ~script:true stmts
+      | _, Some e -> eval fctx e)
 
 and make_listener ctx qn =
   let invoke ?memo ?key mk_args =
@@ -1671,7 +1744,6 @@ and make_listener ctx qn =
       | exception Xq_error.Error e ->
           Pul.clear ctx.D.pul;
           ctx.D.host.D.listener_error (Xq_error.to_string e)
-      | exception Exit_with _ -> Pul.apply ctx.D.pul
     in
     (* Re-run the listener with footprint recording; everything it
        reads lands in [fp], and impurity (PUL effects, external calls,
@@ -1701,10 +1773,7 @@ and make_listener ctx qn =
           | exception Xq_error.Error e ->
               Pul.clear ctx.D.pul;
               finish ~ok:false [];
-              ctx.D.host.D.listener_error (Xq_error.to_string e)
-          | exception Exit_with v ->
-              Pul.apply ctx.D.pul;
-              finish ~ok:true v)
+              ctx.D.host.D.listener_error (Xq_error.to_string e))
     in
     match memo with
     | None -> run_plain (fit (mk_args ()))

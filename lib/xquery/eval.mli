@@ -56,43 +56,162 @@ val call_function :
     updates — the paper's listener execution cycle (Fig. 1). *)
 val make_listener : Dynamic_context.t -> Qname.t -> Dynamic_context.listener
 
-(** {2 Shared building blocks for the closure compiler}
+(** {2 Shared rules}
 
-    {!Compile} emits closures that must behave exactly like the
-    tree-walker; it reuses the evaluator's axis/index/comparison
-    machinery instead of re-implementing it. *)
+    The evaluator's rules for one construct each, taking operands that
+    are already evaluated. Each arm of {!eval} and each closure that
+    {!Compile} emits evaluates its operands and then makes one call
+    here, so compiled and interpreted code raise the same errors and
+    bump the same metrics by construction. *)
 
-(** Maximum user-function recursion depth (raises XQDY0054 beyond). *)
-val max_depth : int
+(** {3 Comparisons and arithmetic} *)
+
+val value_comp :
+  Ast.value_comp -> Xdm_item.sequence -> Xdm_item.sequence -> Xdm_item.sequence
+
+val general_comp :
+  Ast.value_comp -> Xdm_item.sequence -> Xdm_item.sequence -> Xdm_item.sequence
+
+(** [general_comp_stream op lhs rhs]: the existential comparison pulling
+    the lhs through its cursor, stopping at the first matching pair. *)
+val general_comp_stream :
+  Ast.value_comp -> Xdm_seq.t -> Xdm_item.sequence -> Xdm_item.sequence
+
+val node_comp :
+  Ast.node_comp -> Xdm_item.sequence -> Xdm_item.sequence -> Xdm_item.sequence
+
+(** [arith op] picks the operation once; the result applies it, with a
+    direct int path for integer operands. *)
+val arith : Ast.arith -> Xdm_item.sequence -> Xdm_item.sequence -> Xdm_item.sequence
+
+val unary_minus : Xdm_item.sequence -> Xdm_item.sequence
+
+(** [set_op op ra rb] applies {!Xdm_item.union}, [intersect] or
+    [except]. *)
+val set_op :
+  (Xdm_item.sequence -> Xdm_item.sequence -> Xdm_item.sequence) ->
+  Xdm_item.sequence ->
+  Xdm_item.sequence ->
+  Xdm_item.sequence
+
+(** {3 Types} *)
+
+val instance_of : Ast.seq_type -> Xdm_item.sequence -> Xdm_item.sequence
+val treat_as : Ast.seq_type -> Xdm_item.sequence -> Xdm_item.sequence
+
+(** [castable_as ty optional v] / [cast_as ty optional v]; [optional]
+    is the [?] after the target type. *)
+val castable_as :
+  Xdm_atomic.atomic_type -> bool -> Xdm_item.sequence -> Xdm_item.sequence
+
+val cast_as :
+  Xdm_atomic.atomic_type -> bool -> Xdm_item.sequence -> Xdm_item.sequence
+
+(** The [xs:] constructor function for a type (counted as a call). *)
+val constructor_cast :
+  Xdm_atomic.atomic_type -> Xdm_item.sequence -> Xdm_item.sequence
+
+(** {3 Paths and predicates} *)
+
+(** [/]: the root of the focus node. *)
+val root : Dynamic_context.t -> Xdm_item.sequence
 
 (** Nodes selected by one axis step (uses the local-name index for
     descendant name tests when DOM acceleration is on). *)
 val step_nodes : Ast.axis -> Ast.node_test -> Dom.node -> Dom.node list
 
-val node_test_matches : axis:Ast.axis -> Ast.node_test -> Dom.node -> bool
-
-(** Serve a leading [@k eq 'lit']-style predicate from the per-root
-    value index: [Some (candidates, remaining_preds)] or [None] to
-    fall back to a scan. *)
-val value_index_step :
+(** [step ctx axis test ast_preds preds ~filter x]: one axis step from
+    the focus node. A leading [@k eq 'lit']-style predicate is served
+    from the value index when possible (and consumed); [filter x]
+    applies the remaining [preds]. [ast_preds] are the surface forms of
+    [preds]. *)
+val step :
+  Dynamic_context.t ->
   Ast.axis ->
   Ast.node_test ->
   Ast.expr list ->
-  Dom.node ->
-  (Dom.node list * Ast.expr list) option
-
-val value_compare_pair : Ast.value_comp -> Xdm_atomic.t -> Xdm_atomic.t -> bool
-val general_compare_pair : Ast.value_comp -> Xdm_atomic.t -> Xdm_atomic.t -> bool
-
-(** [construct ?attrs node content] fills a fresh element or document
-    node from constructor content — [attrs] first, then the content's
-    attribute nodes (elements only), then its other nodes appended in
-    one pass — and returns [[node]]. Shared by the evaluator and the
-    closure compiler. *)
-val construct :
-  ?attrs:(Qname.t * string) list ->
-  Dom.node ->
-  Xdm_item.sequence ->
+  'p list ->
+  filter:('x -> Xdm_item.sequence -> 'p list -> Xdm_item.sequence) ->
+  'x ->
   Xdm_item.sequence
 
-val qname_of_value : Dynamic_context.t -> Xdm_atomic.t -> Qname.t
+(** [path ctx lhs rhs]: [rhs] once per lhs item as the focus; the
+    results in document order, or XPTY0018 for a node/atomic mix. *)
+val path :
+  Dynamic_context.t ->
+  Xdm_item.sequence ->
+  (Dynamic_context.t -> Xdm_item.sequence) ->
+  Xdm_item.sequence
+
+(** [filter_items eval_pred ctx items preds]: a predicate chain. A
+    numeric predicate value keeps the item at that position, any other
+    value keeps it by its effective boolean value. *)
+val filter_items :
+  (Dynamic_context.t -> 'p -> Xdm_item.sequence) ->
+  Dynamic_context.t ->
+  Xdm_item.sequence ->
+  'p list ->
+  Xdm_item.sequence
+
+(** {3 Bindings, ranges and calls} *)
+
+(** The coercion of a binding to its declared type, if any. *)
+val coerce_binding :
+  Qname.t -> Ast.seq_type option -> Xdm_item.sequence -> Xdm_item.sequence
+
+(** A range operand as an integer; [None] when it is empty. *)
+val range_endpoint : Xdm_item.sequence -> int option
+
+val range_bounds : int option -> int option -> (int * int) option
+val range : int option -> int option -> Xdm_item.sequence
+
+(** Call a builtin implementation; [impure] poisons the footprint of a
+    recorded listener run. *)
+val call_builtin :
+  impure:bool ->
+  Dynamic_context.t ->
+  Functions.impl ->
+  Xdm_item.sequence list ->
+  Xdm_item.sequence
+
+(** The boundary of a function or program body: maps [exit with] to its
+    value, a stray [break]/[continue] to XSST0010, and data-model
+    exceptions as {!protect} does. *)
+val run_body : (unit -> Xdm_item.sequence) -> Xdm_item.sequence
+
+(** [call_user decl ctx args run]: a user-function call. Checks the
+    recursion depth, coerces the arguments, runs [run] with the function
+    scope and the coerced arguments inside {!run_body}, and coerces the
+    result. *)
+val call_user :
+  Ast.function_decl ->
+  Dynamic_context.t ->
+  Xdm_item.sequence list ->
+  (Dynamic_context.t -> Xdm_item.sequence list -> Xdm_item.sequence) ->
+  Xdm_item.sequence
+
+(** {3 Constructors}
+
+    Each creates its node before evaluating the content thunk. *)
+
+(** [direct_element name attributes ~part ~children]: [part] classifies
+    an attribute part as literal [`Text] or the [`Value] of an enclosed
+    expression. *)
+val direct_element :
+  Qname.t ->
+  (Qname.t * 'a list) list ->
+  part:('a -> [ `Text of string | `Value of Xdm_item.sequence ]) ->
+  children:(unit -> Xdm_item.sequence) ->
+  Xdm_item.sequence
+
+(** The name of a computed element or attribute constructor. *)
+val constructed_name : Dynamic_context.t -> Xdm_item.sequence -> Qname.t
+
+val computed_element :
+  Qname.t -> (unit -> Xdm_item.sequence) -> Xdm_item.sequence
+
+val computed_attribute : Qname.t -> Xdm_item.sequence -> Xdm_item.sequence
+val computed_text : Xdm_item.sequence -> Xdm_item.sequence
+val computed_comment : Xdm_item.sequence -> Xdm_item.sequence
+val computed_pi : Xdm_item.sequence -> Xdm_item.sequence -> Xdm_item.sequence
+val computed_document : (unit -> Xdm_item.sequence) -> Xdm_item.sequence

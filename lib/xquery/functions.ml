@@ -165,7 +165,18 @@ let compile_regex pattern flags =
   in
   let p = translate pattern in
   let p = if case_insensitive then String.lowercase_ascii p else p in
-  (Str.regexp p, case_insensitive)
+  match Str.regexp p with
+  | re -> (re, case_insensitive)
+  | exception Failure m ->
+      err "FORX0002" "invalid regular expression %S: %s" pattern m
+
+(* fn:replace and fn:tokenize cannot make progress on a pattern that
+   matches the empty string *)
+let compile_nonempty_regex pattern flags =
+  let ((re, _) as r) = compile_regex pattern flags in
+  if Str.string_match re "" 0 then
+    err "FORX0003" "regular expression %S matches the empty string" pattern;
+  r
 
 let regex_input s case_insensitive =
   if case_insensitive then String.lowercase_ascii s else s
@@ -410,14 +421,14 @@ let () =
       and p = req_string (arg 1 args)
       and r = req_string (arg 2 args) in
       let flags = match arg_opt 3 args with Some f -> req_string f | None -> "" in
-      let re, ci = compile_regex p flags in
+      let re, ci = compile_nonempty_regex p flags in
       (* Str replacement uses \1; XPath uses $1 — translate *)
       let r = Str.global_replace (Str.regexp "\\$\\([0-9]\\)") "\\\\\\1" r in
       str1 (Str.global_replace re r (regex_input s ci)));
   fn ~local:"tokenize" ~min_arity:2 ~max_arity:3 (fun _ args ->
       let s = req_string (arg 0 args) and p = req_string (arg 1 args) in
       let flags = match arg_opt 2 args with Some f -> req_string f | None -> "" in
-      let re, ci = compile_regex p flags in
+      let re, ci = compile_nonempty_regex p flags in
       if s = "" then []
       else
         Str.split_delim re (regex_input s ci)
@@ -431,6 +442,17 @@ let () =
             | a -> int_of_string (A.to_string a))
           (arg 0 args)
       in
+      (* only code points of XML [Char] *)
+      List.iter
+        (fun cp ->
+          if
+            not
+              (cp = 0x9 || cp = 0xA || cp = 0xD
+              || (cp >= 0x20 && cp <= 0xD7FF)
+              || (cp >= 0xE000 && cp <= 0xFFFD)
+              || (cp >= 0x10000 && cp <= 0x10FFFF))
+          then err "FOCH0001" "code point %d is not a valid XML character" cp)
+        cps;
       str1 (String.concat "" (List.map Xml_escape.utf8_of_code_point cps)));
   fn ~local:"string-to-codepoints" (fun _ args ->
       match opt_string (arg 0 args) with

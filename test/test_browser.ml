@@ -498,6 +498,32 @@ let page_robustness_tests =
              (fun m -> String.length m > 0)
              b.B.script_errors));
   ]
+  @ List.map
+      (fun stmt ->
+        t (Printf.sprintf "a stray %s in a page script is XSST0010" stmt)
+          (fun () ->
+            let b =
+              load_page
+                (Printf.sprintf
+                   {|<html><head>
+                     <script type="text/xquery">block { %s; }</script>
+                     <script type="text/xquery">browser:alert("still ran")</script>
+                     </head><body><p>content</p></body></html>|}
+                   stmt)
+            in
+            check (Alcotest.list Alcotest.string) "later script ran"
+              [ "still ran" ] (B.alerts b);
+            check Alcotest.bool "XSST0010 recorded" true
+              (List.exists
+                 (fun m ->
+                   match Str.search_forward (Str.regexp_string "XSST0010") m 0 with
+                   | _ -> true
+                   | exception Not_found -> false)
+                 b.B.script_errors);
+            check Alcotest.int "page parsed" 1
+              (List.length
+                 (Dom.get_elements_by_local_name (B.document b) "p"))))
+      [ "break"; "continue" ]
 
 let suite =
   page_tests @ browser_function_tests @ security_tests @ style_tests

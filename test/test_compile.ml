@@ -32,7 +32,7 @@ let with_streaming streaming f =
 let doc =
   "<r><a><x k='1'>1</x><x k='2'>2</x></a><a><x k='3'>3</x></a><b>7</b></r>"
 
-let outcome ~compiled ~streaming src =
+let outcome ?(doc = doc) ~compiled ~streaming src =
   with_compiled compiled (fun () ->
       with_streaming streaming (fun () ->
           match
@@ -44,10 +44,10 @@ let outcome ~compiled ~streaming src =
 
 (* the tree-walking evaluator with streaming off is the oracle; every
    other cell of the ablation matrix must agree with it *)
-let all_configs_agree src =
-  let oracle = outcome ~compiled:false ~streaming:false src in
+let all_configs_agree ?doc src =
+  let oracle = outcome ?doc ~compiled:false ~streaming:false src in
   List.for_all
-    (fun (c, s) -> outcome ~compiled:c ~streaming:s src = oracle)
+    (fun (c, s) -> outcome ?doc ~compiled:c ~streaming:s src = oracle)
     [ (false, true); (true, false); (true, true) ]
 
 (* assert agreement across the matrix, and optionally pin the value *)
@@ -373,6 +373,13 @@ let equivalence_properties =
     qt ~count:400 "compiled evaluation matches the oracle on all configs"
       (Q.make ~print:Fun.id src_gen)
       all_configs_agree;
+    (* random documents over names sharing prefixes, queried through
+       name tests, index probes and name functions *)
+    qt ~count:150 "compiled evaluation matches the oracle on generated names"
+      (Q.make
+         ~print:(fun (d, q) -> d ^ " |> " ^ q)
+         Q.Gen.(pair Test_interning.doc_gen Test_interning.query_gen))
+      (fun (doc, src) -> all_configs_agree ~doc src);
   ]
 
 let suite =

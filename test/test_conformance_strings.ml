@@ -153,5 +153,41 @@ let pul_tests =
         check Alcotest.string "applied" "<r><a/></r>" (Dom.serialize doc));
   ]
 
+(* ---------- spec error codes of the regex and code-point builtins ---------- *)
+
+let raises code src =
+  t (Printf.sprintf "%s raises %s" src code) (fun () ->
+      match run_str src with
+      | v -> Alcotest.failf "%s returned %S, expected %s" src v code
+      | exception Xq_error.Error e -> check Alcotest.string src code e.Xq_error.code)
+
+let error_code_tests =
+  [
+    raises "FORX0002" "matches('a', '[')";
+    raises "FORX0002" "tokenize('a,b', '(')";
+    raises "FORX0002" "replace('a', '(', 'b')";
+    raises "FORX0003" "replace('a', '', 'b')";
+    raises "FORX0003" "replace('abc', 'x*', '-')";
+    raises "FORX0003" "tokenize('abc', '')";
+    raises "FORX0003" "tokenize('a b', '\\s*')";
+    raises "FOCH0001" "codepoints-to-string(1114112)";
+    raises "FOCH0001" "codepoints-to-string(0)";
+    raises "FOCH0001" "codepoints-to-string(55296)";
+    t "codepoints-to-string accepts exactly the XML Char range" (fun () ->
+        let call cp = run_str (Printf.sprintf "codepoints-to-string(%d)" cp) in
+        List.iter
+          (fun cp -> ignore (call cp))
+          [ 9; 10; 13; 32; 55295; 57344; 65533; 65536; 1114111 ];
+        List.iter
+          (fun cp ->
+            match call cp with
+            | _ -> Alcotest.failf "code point %d accepted" cp
+            | exception Xq_error.Error e ->
+                check Alcotest.string (string_of_int cp) "FOCH0001"
+                  e.Xq_error.code)
+          [ 8; 11; 31; 57343; 65534; 65535 ]);
+  ]
+
 let suite =
   substring_tests @ translate_case_tests @ scan_tests @ property_tests @ pul_tests
+  @ error_code_tests

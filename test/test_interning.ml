@@ -1,11 +1,10 @@
 (* Global name interning: the Sym table is a bijection (round trips,
-   symbol equality ⇔ string equality), Qname's gated equal/compare
-   agree with the string semantics in both modes, the escape fast path
-   returns clean strings physically unchanged, indexes and footprints
-   stay correct for names first interned by a runtime mutation, and a
-   QCheck differential proves {interning on, off} x {compiled,
-   interpreted} all evaluate byte-identically (the ablated interpreted
-   configuration is the string-keyed oracle). *)
+   symbol equality ⇔ string equality), Qname's symbol-based
+   equal/compare agree with the string semantics, the escape fast path
+   returns clean strings physically unchanged, and indexes and
+   footprints stay correct for names first interned by a runtime
+   mutation. The random document/query generator at the end feeds the
+   compiled-vs-interpreted matrix of {!Test_compile}. *)
 
 open Xmlb
 module I = Xdm_item
@@ -16,16 +15,6 @@ let t name f = Alcotest.test_case name `Quick f
 
 let qt ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name gen prop)
-
-let with_interning enabled f =
-  let prev = Sym.fastpaths_enabled () in
-  Sym.set_fastpaths enabled;
-  Fun.protect ~finally:(fun () -> Sym.set_fastpaths prev) f
-
-let with_compiled compiled f =
-  let prev = Xquery.Engine.compiled_eval_enabled () in
-  Xquery.Engine.set_compiled_eval compiled;
-  Fun.protect ~finally:(fun () -> Xquery.Engine.set_compiled_eval prev) f
 
 (* names nothing else in the process will ever intern *)
 let fresh_name =
@@ -80,7 +69,8 @@ let sym_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Qname: the gated fast paths agree with the string semantics *)
+(* Qname: symbol-based equality and order agree with the string
+   semantics, and equality is consistent with the hash *)
 
 let qname_gen =
   Q.Gen.(
@@ -92,17 +82,22 @@ let qname_gen =
 
 let qname_tests =
   [
-    qt "equal agrees across modes"
+    qt "equal agrees with string equality"
       Q.(pair (make qname_gen) (make qname_gen))
       (fun (a, b) ->
-        with_interning true (fun () -> Qname.equal a b)
-        = with_interning false (fun () -> Qname.equal a b));
-    qt "compare agrees across modes"
+        Qname.equal a b
+        = (String.equal a.Qname.local b.Qname.local
+          && Option.equal String.equal a.Qname.uri b.Qname.uri));
+    qt "compare agrees with string order"
       Q.(pair (make qname_gen) (make qname_gen))
       (fun (a, b) ->
         let sign c = Stdlib.compare c 0 in
-        sign (with_interning true (fun () -> Qname.compare a b))
-        = sign (with_interning false (fun () -> Qname.compare a b)))
+        let by_strings =
+          match Option.compare String.compare a.Qname.uri b.Qname.uri with
+          | 0 -> String.compare a.Qname.local b.Qname.local
+          | c -> c
+        in
+        sign (Qname.compare a b) = sign by_strings)
       ~count:400;
     qt "hash respects equality"
       Q.(pair (make qname_gen) (make qname_gen))
@@ -173,37 +168,27 @@ let escape_tests =
 let runtime_name_tests =
   [
     t "index finds elements renamed to a fresh name" (fun () ->
-        List.iter
-          (fun mode ->
-            with_interning mode (fun () ->
-                let fresh = fresh_name () in
-                let doc = Dom.of_string "<root><a>1</a><a>2</a></root>" in
-                check Alcotest.int "absent before" 0
-                  (List.length (Dom.get_elements_by_local_name doc fresh));
-                (match Dom.get_elements_by_local_name doc "a" with
-                | el :: _ -> Dom.rename el (Qname.make fresh)
-                | [] -> Alcotest.fail "no a element");
-                check Alcotest.int "found after rename" 1
-                  (List.length (Dom.get_elements_by_local_name doc fresh))))
-          [ true; false ]);
+        let fresh = fresh_name () in
+        let doc = Dom.of_string "<root><a>1</a><a>2</a></root>" in
+        check Alcotest.int "absent before" 0
+          (List.length (Dom.get_elements_by_local_name doc fresh));
+        (match Dom.get_elements_by_local_name doc "a" with
+        | el :: _ -> Dom.rename el (Qname.make fresh)
+        | [] -> Alcotest.fail "no a element");
+        check Alcotest.int "found after rename" 1
+          (List.length (Dom.get_elements_by_local_name doc fresh)));
     t "updating query creating a fresh name is queryable" (fun () ->
-        List.iter
-          (fun mode ->
-            with_interning mode (fun () ->
-                let fresh = fresh_name () in
-                let doc = Dom.of_string "<r><x/></r>" in
-                let eval src =
-                  I.to_display_string
-                    (Xquery.Engine.eval_string ~context_item:(I.Node doc) src)
-                in
-                (* snapshot semantics: the insert applies when the first
-                   query finishes, the count is a second evaluation *)
-                let _ =
-                  eval (Printf.sprintf "insert node <%s/> into /r" fresh)
-                in
-                check Alcotest.string "one inserted" "1"
-                  (eval (Printf.sprintf "count(//%s)" fresh))))
-          [ true; false ]);
+        let fresh = fresh_name () in
+        let doc = Dom.of_string "<r><x/></r>" in
+        let eval src =
+          I.to_display_string
+            (Xquery.Engine.eval_string ~context_item:(I.Node doc) src)
+        in
+        (* snapshot semantics: the insert applies when the first query
+           finishes, the count is a second evaluation *)
+        let _ = eval (Printf.sprintf "insert node <%s/> into /r" fresh) in
+        check Alcotest.string "one inserted" "1"
+          (eval (Printf.sprintf "count(//%s)" fresh)));
     t "footprint read of an unseen name catches a later write" (fun () ->
         let fresh = fresh_name () in
         let fp = Footprint.create () in
@@ -217,33 +202,31 @@ let runtime_name_tests =
         Footprint.add_wname w2 (Sym.intern (fresh_name ()));
         check Alcotest.bool "other name misses" false
           (Footprint.intersects fp [ w2 ]));
-    t "value-index probes agree across modes after mutation" (fun () ->
+    t "value-index probe sees a value set by mutation" (fun () ->
         let doc =
           Dom.of_string
             "<root><item k='a'>1</item><item k='b'>2</item></root>"
         in
         let probe () =
-          match Dom.elements_by_attr_value doc ~local:"k" "c" with
+          match
+            Dom.elements_by_attr_value_sym doc ~local:(Sym.intern "k") "c"
+          with
           | Some els -> List.length els
           | None -> -1
         in
-        let on0 = with_interning true probe in
-        let off0 = with_interning false probe in
-        check Alcotest.int "miss agrees" on0 off0;
+        check Alcotest.int "miss before" 0 (probe ());
         (match Dom.get_elements_by_local_name doc "item" with
         | el :: _ -> Dom.set_attribute el (Qname.make "k") "c"
         | [] -> Alcotest.fail "no item");
-        let on1 = with_interning true probe in
-        let off1 = with_interning false probe in
-        check Alcotest.int "hit agrees" on1 off1;
-        check Alcotest.int "index sees the new value" 1 on1);
+        check Alcotest.int "index sees the new value" 1 (probe ()));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Differential: {interning on, off} x {compiled, interpreted} must
-   be byte-identical; ablated interpreted is the string-keyed oracle *)
+(* Random documents over names sharing prefixes, and queries that test
+   those names every way the engine can (name tests, index probes,
+   node-name, local-name, order by name) *)
 
-let diff_doc_gen =
+let doc_gen =
   Q.Gen.(
     let name = oneofl [ "alpha"; "beta"; "gamma"; "alphabet" ] in
     let item =
@@ -256,7 +239,7 @@ let diff_doc_gen =
       (fun items -> "<root>" ^ String.concat "" items ^ "</root>")
       (list_size (int_range 1 12) item))
 
-let diff_query_gen =
+let query_gen =
   Q.Gen.(
     oneofl
       [
@@ -271,32 +254,4 @@ let diff_query_gen =
         "count(//*[local-name() = 'gamma'])";
       ])
 
-let differential_tests =
-  [
-    qt ~count:150 "4-way differential vs string-keyed oracle"
-      (Q.make
-         ~print:(fun (d, q) -> d ^ " |> " ^ q)
-         Q.Gen.(pair diff_doc_gen diff_query_gen))
-      (fun (doc_src, query) ->
-        let outcome ~interning ~compiled =
-          with_interning interning (fun () ->
-              with_compiled compiled (fun () ->
-                  match
-                    I.to_display_string
-                      (Xquery.Engine.eval_string
-                         ~context_item:(I.Node (Dom.of_string doc_src))
-                         query)
-                  with
-                  | s -> "ok: " ^ s
-                  | exception Xquery.Xq_error.Error e ->
-                      "err: " ^ e.Xquery.Xq_error.code))
-        in
-        let oracle = outcome ~interning:false ~compiled:false in
-        List.for_all
-          (fun (i, c) -> String.equal oracle (outcome ~interning:i ~compiled:c))
-          [ (false, true); (true, false); (true, true) ]);
-  ]
-
-let suite =
-  sym_tests @ qname_tests @ escape_tests @ runtime_name_tests
-  @ differential_tests
+let suite = sym_tests @ qname_tests @ escape_tests @ runtime_name_tests
