@@ -240,7 +240,6 @@ let install (b : Browser.t) (window : Windows.t) sctx =
         (Xquery.Compile.stats ());
       Dom.append_child ~parent:root ce;
       let st = Dom.create_element (Qname.make "streaming") in
-      attr st "enabled" (string_of_bool (Xquery.Eval.streaming_enabled ()));
       attr st "pulls"
         (string_of_int (Obs.Metrics.counter Xdm_seq.pulls_metric));
       attr st "materializations"

@@ -35,9 +35,12 @@ type t =
 
 exception Type_error of string
 exception Cast_error of string
+exception Dynamic_error of string * string
 
 let type_error fmt = Printf.ksprintf (fun m -> raise (Type_error m)) fmt
 let cast_error fmt = Printf.ksprintf (fun m -> raise (Cast_error m)) fmt
+let dynamic_error code fmt =
+  Printf.ksprintf (fun m -> raise (Dynamic_error (code, m))) fmt
 
 let type_of = function
   | Untyped _ -> T_untyped
@@ -150,6 +153,48 @@ let parse_integer s =
   | Some i -> i
   | None -> cast_error "cannot cast %S to xs:integer" s
 
+(* xs:decimal's lexical space: digits with an optional sign and
+   point, no exponent and no INF/NaN *)
+let parse_decimal str =
+  let s = trim str in
+  let n = String.length s in
+  let i = if n > 0 && (s.[0] = '+' || s.[0] = '-') then 1 else 0 in
+  let digits = ref 0 and points = ref 0 and ok = ref (i < n) in
+  String.iteri
+    (fun j c ->
+      if j >= i then
+        match c with
+        | '0' .. '9' -> incr digits
+        | '.' -> incr points
+        | _ -> ok := false)
+    s;
+  match float_of_string_opt s with
+  | Some f when !ok && !digits > 0 && !points <= 1 && Float.is_finite f -> f
+  | _ -> cast_error "cannot cast %S to xs:decimal" str
+
+(* a lexical QName: an NCName, optionally prefixed by another *)
+let is_ncname s =
+  let start c =
+    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || Char.code c >= 0x80
+  in
+  s <> ""
+  && start s.[0]
+  && String.for_all
+       (fun c -> start c || (c >= '0' && c <= '9') || c = '-' || c = '.')
+       s
+
+let parse_qname str =
+  let s = trim str in
+  let lexical =
+    match String.index_opt s ':' with
+    | None -> is_ncname s
+    | Some i ->
+        is_ncname (String.sub s 0 i)
+        && is_ncname (String.sub s (i + 1) (String.length s - i - 1))
+  in
+  if lexical then Qname.of_string s
+  else cast_error "cannot cast %S to xs:QName" str
+
 let parse_float_xml what s =
   match trim s with
   | "INF" -> Float.infinity
@@ -179,13 +224,10 @@ let cast ~target v =
     | T_string -> String str
     | T_boolean -> Boolean (parse_boolean str)
     | T_integer -> Integer (parse_integer str)
-    | T_decimal -> (
-        match float_of_string_opt (trim str) with
-        | Some f -> Decimal f
-        | None -> cast_error "cannot cast %S to xs:decimal" str)
+    | T_decimal -> Decimal (parse_decimal str)
     | T_double -> Double (parse_float_xml "double" str)
     | T_any_uri -> Any_uri (trim str)
-    | T_qname -> Qname_v (Qname.of_string (trim str))
+    | T_qname -> Qname_v (parse_qname str)
     | T_date -> (
         try Date (Xdm_datetime.date_of_string (trim str))
         with Failure m -> cast_error "%s" m)
@@ -320,6 +362,37 @@ let same_key a b =
 
 (* ---------------- arithmetic ---------------- *)
 
+(* xs:integer is the native int: an operation whose exact result does
+   not fit raises FOAR0002 instead of wrapping around *)
+let int_overflow () = dynamic_error "FOAR0002" "integer overflow"
+
+let int_add i j =
+  let r = i + j in
+  if (i lxor r) land (j lxor r) < 0 then int_overflow () else r
+
+let int_sub i j =
+  let r = i - j in
+  if (i lxor j) land (i lxor r) < 0 then int_overflow () else r
+
+(* operands within ±2^30 cannot overflow; only larger ones pay for the
+   division that checks the product *)
+let int_mul_slow i j =
+  let r = i * j in
+  if (i = -1 && j = min_int) || (j = -1 && i = min_int) || (j <> 0 && r / j <> i)
+  then int_overflow ()
+  else r
+
+let int_mul i j =
+  if ((i + 0x4000_0000) lor (j + 0x4000_0000)) land lnot 0x7FFF_FFFF = 0 then i * j
+  else int_mul_slow i j
+
+let int_neg i = if i = min_int then int_overflow () else -i
+
+let int_div i j =
+  if j = 0 then raise Division_by_zero
+  else if j = -1 then int_neg i
+  else i / j
+
 let numeric_op int_op float_op tag a b =
   match promote_pair a b with
   | Integer i, Integer j -> Integer (int_op i j)
@@ -354,7 +427,7 @@ let add a b =
         (Xdm_datetime.of_epoch_seconds ?tz_minutes:t.Xdm_datetime.tz_minutes
            (Xdm_datetime.to_epoch_seconds t +. dur.Xdm_duration.seconds))
   | _, _, Some da, Some db -> duration_tagged a (Xdm_duration.add da db)
-  | _ -> numeric_op ( + ) ( +. ) "+" a b
+  | _ -> numeric_op int_add ( +. ) "+" a b
 
 let subtract a b =
   match (a, b, as_duration a, as_duration b) with
@@ -367,20 +440,24 @@ let subtract a b =
       Day_time_duration (Xdm_datetime.difference ta tb)
   | _, _, Some da, Some db ->
       duration_tagged a (Xdm_duration.add da (Xdm_duration.negate db))
-  | _ -> numeric_op ( - ) ( -. ) "-" a b
+  | _ -> numeric_op int_sub ( -. ) "-" a b
+
+(* a duration scaled by a number; NaN has no duration (FOCA0005) *)
+let scale_duration template d f =
+  if Float.is_nan f then dynamic_error "FOCA0005" "duration scaled by NaN"
+  else duration_tagged template (Xdm_duration.scale d f)
 
 let multiply a b =
   match (as_duration a, as_duration b) with
-  | Some d, None when is_numeric b -> duration_tagged a (Xdm_duration.scale d (numeric_value b))
-  | None, Some d when is_numeric a -> duration_tagged b (Xdm_duration.scale d (numeric_value a))
-  | _ -> numeric_op ( * ) ( *. ) "*" a b
+  | Some d, None when is_numeric b -> scale_duration a d (numeric_value b)
+  | None, Some d when is_numeric a -> scale_duration b d (numeric_value a)
+  | _ -> numeric_op int_mul ( *. ) "*" a b
 
 let divide a b =
   match (as_duration a, as_duration b) with
   | Some d, None when is_numeric b ->
       let f = numeric_value b in
-      if f = 0. then raise Division_by_zero
-      else duration_tagged a (Xdm_duration.scale d (1. /. f))
+      if f = 0. then raise Division_by_zero else scale_duration a d (1. /. f)
   | Some da, Some db ->
       if Xdm_duration.is_year_month da && Xdm_duration.is_year_month db then
         if db.Xdm_duration.months = 0 then raise Division_by_zero
@@ -401,8 +478,7 @@ let divide a b =
 
 let integer_divide a b =
   match promote_pair a b with
-  | Integer i, Integer j ->
-      if j = 0 then raise Division_by_zero else Integer (i / j)
+  | Integer i, Integer j -> Integer (int_div i j)
   | Decimal x, Decimal y | Double x, Double y ->
       if y = 0. then raise Division_by_zero
       else if Float.is_nan x || Float.is_nan y || Float.abs x = Float.infinity then
@@ -420,7 +496,7 @@ let modulo a b =
   | _ -> assert false
 
 let negate = function
-  | Integer i -> Integer (-i)
+  | Integer i -> Integer (int_neg i)
   | Decimal f -> Decimal (-.f)
   | Double f -> Double (-.f)
   | Untyped s -> Double (-.parse_float_xml "double" s)

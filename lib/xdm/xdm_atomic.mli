@@ -44,6 +44,11 @@ exception Type_error of string
 (** FORG0001-class cast failures. *)
 exception Cast_error of string
 
+(** A dynamic error with its own code: [(code, message)], e.g.
+    FOAR0002 for integer overflow, FOCA0005 for a duration scaled by
+    NaN. *)
+exception Dynamic_error of string * string
+
 val type_of : t -> atomic_type
 
 (** [xs:integer] etc. — the local name within the [xs] namespace. *)
@@ -90,12 +95,26 @@ val equal_value : t -> t -> bool
     integer/decimal division by zero. *)
 
 val add : t -> t -> t
+(** Integer results are exact: an operation that does not fit a native
+    int raises [Dynamic_error ("FOAR0002", _)]; duration results out of
+    range raise {!Xdm_duration.Overflow}. *)
+
 val subtract : t -> t -> t
 val multiply : t -> t -> t
 val divide : t -> t -> t
 val integer_divide : t -> t -> t
 val modulo : t -> t -> t
 val negate : t -> t
+
+(** Checked native-int arithmetic for [xs:integer]: each raises
+    [Dynamic_error ("FOAR0002", _)] where the exact result does not fit
+    ([int_div] also [Division_by_zero]). *)
+
+val int_add : int -> int -> int
+val int_sub : int -> int -> int
+val int_mul : int -> int -> int
+val int_neg : int -> int
+val int_div : int -> int -> int
 
 (** Deep equality used by fn:distinct-values / order keys: NaN equals
     NaN, values of comparable types compare by value, otherwise false. *)

@@ -1,6 +1,22 @@
 type t = { months : int; seconds : float }
 
+exception Overflow of string
+
 let zero = { months = 0; seconds = 0. }
+
+let overflow () = raise (Overflow "duration out of range")
+
+(* a component that no longer fits the (int months, float seconds)
+   value space is an overflow, never a wrapped or infinite value *)
+let months_of_float f =
+  if Float.is_nan f || Float.abs f >= 0x1p62 then overflow ()
+  else int_of_float f
+
+let add_months a b =
+  let r = a + b in
+  if (a lxor r) land (b lxor r) < 0 then overflow () else r
+
+let finite_seconds s = if Float.is_finite s then s else overflow ()
 let make ?(months = 0) ?(seconds = 0.) () = { months; seconds }
 
 let of_string s =
@@ -30,8 +46,9 @@ let of_string s =
       incr i;
       saw_component := true;
       match (designator, !in_time) with
-      | 'Y', false -> months := !months + (int_of_float num * 12)
-      | 'M', false -> months := !months + int_of_float num
+      | 'Y', false ->
+          months := add_months !months (months_of_float (Float.trunc num *. 12.))
+      | 'M', false -> months := add_months !months (months_of_float num)
       | 'D', false -> seconds := !seconds +. (num *. 86400.)
       | 'W', false -> seconds := !seconds +. (num *. 7. *. 86400.)
       | 'H', true -> seconds := !seconds +. (num *. 3600.)
@@ -41,6 +58,7 @@ let of_string s =
     end
   done;
   if not !saw_component then fail ();
+  ignore (finite_seconds !seconds);
   if negative then { months = - !months; seconds = -. !seconds }
   else { months = !months; seconds = !seconds }
 
@@ -81,13 +99,17 @@ let compare a b =
   | 0 -> Float.compare a.seconds b.seconds
   | c -> c
 
-let add a b = { months = a.months + b.months; seconds = a.seconds +. b.seconds }
+let add a b =
+  {
+    months = add_months a.months b.months;
+    seconds = finite_seconds (a.seconds +. b.seconds);
+  }
 let negate a = { months = -a.months; seconds = -.a.seconds }
 
 let scale a f =
   {
-    months = int_of_float (Float.round (float_of_int a.months *. f));
-    seconds = a.seconds *. f;
+    months = months_of_float (Float.round (float_of_int a.months *. f));
+    seconds = finite_seconds (a.seconds *. f);
   }
 
 let is_year_month a = a.seconds = 0.

@@ -7,12 +7,18 @@
 
 type t = { months : int; seconds : float }
 
+(** A duration whose months no longer fit a native int or whose
+    seconds are not finite (FODT0002): raised by {!of_string}, {!add}
+    and {!scale} instead of wrapping. *)
+exception Overflow of string
+
 val zero : t
 val make : ?months:int -> ?seconds:float -> unit -> t
 
 (** Parse an ISO 8601 duration literal such as ["P1Y2M3DT4H5M6.7S"] or
     ["-PT90S"].
-    @raise Failure on a malformed literal. *)
+    @raise Failure on a malformed literal.
+    @raise Overflow on a component out of range. *)
 val of_string : string -> t
 
 (** Canonical ISO 8601 form. *)

@@ -65,9 +65,6 @@ let filteri f t =
   { t with items = Seq.map snd indexed }
 let map f t = { items = Seq.map f t.items; sorted = false; at_most_one = t.at_most_one }
 
-let append a b =
-  { items = Seq.append a.items b.items; sorted = false; at_most_one = false }
-
 let concat_map f t =
   { items = Seq.concat_map (fun x -> (f x).items) t.items;
     sorted = false; at_most_one = false }

@@ -48,7 +48,6 @@ val nth : int -> t -> Xdm_item.item option
 val filter : (Xdm_item.item -> bool) -> t -> t
 val filteri : (int -> Xdm_item.item -> bool) -> t -> t
 val map : (Xdm_item.item -> Xdm_item.item) -> t -> t
-val append : t -> t -> t
 val concat_map : (Xdm_item.item -> t) -> t -> t
 
 val effective_boolean : t -> bool

@@ -3,11 +3,10 @@
     AST and resolves variables to frame slots; [compile_prog] then
     emits one OCaml closure per core node, composed bottom-up, so a
     run performs direct calls over a pre-sized frame array instead of
-    tree-walking the AST. The tree-walking {!Eval} stays the oracle:
-    [set_compiled_eval false] (CLI [--no-compiled-eval]) disables the
-    compiled path entirely, and compiled code delegates to the
-    interpreter for streaming-sensitive shapes so lazy pull counts
-    match it pull-for-pull. *)
+    tree-walking the AST. Compiled code streams: early-exit consumers
+    pull lazy {!Xdm_seq} cursors. The eager tree-walking {!Eval} stays
+    the reference and oracle: [set_compiled_eval false] (CLI
+    [--no-compiled-eval]) disables the compiled path entirely. *)
 
 type env = {
   ctx : Dynamic_context.t;
@@ -27,7 +26,7 @@ type prog_code = {
           {!Dynamic_context.t.compiled_fns} *)
 }
 
-(** Ablation switch (default on), mirroring {!Eval.set_streaming}. *)
+(** Ablation switch (default on); off runs the reference evaluator. *)
 val set_compiled_eval : bool -> unit
 
 val enabled : unit -> bool

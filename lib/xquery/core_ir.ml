@@ -14,12 +14,9 @@
    ([ast]): the emitter consults it for the static shape analyses
    (bounded positional takes, sortedness, value-index probes) and to
    delegate to the tree-walking evaluator — [C_opaque] — for the forms
-   the compiler does not specialize. Opaque delegation is the exact-
-   parity tool: anything updating, scripting blocks, typeswitch,
-   transform, full-text, quantifiers, hash joins and order-by FLWORs
-   (whose tuple materialisation the interpreter owns), and the
-   early-exit builtin calls plus bounded-count shapes whose streaming
-   pull behaviour must match the interpreter pull-for-pull. *)
+   the compiler does not specialize: anything updating, scripting
+   blocks, typeswitch, transform, full-text, and order-by FLWORs and
+   hash joins (whose tuple sort the evaluator owns). *)
 
 open Xmlb
 module A = Xdm_atomic
@@ -42,9 +39,6 @@ and desc =
   | C_and of t * t
   | C_value_comp of Ast.value_comp * t * t
   | C_general_comp of Ast.value_comp * t * t
-  | C_general_comp_stream of Ast.value_comp * Ast.expr * t
-      (** existential comparison whose lhs streams through the
-          interpreter's lazy cursors (rhs is compiled) *)
   | C_node_comp of Ast.node_comp * t * t
   | C_arith of Ast.arith * t * t
   | C_unary_minus of t
@@ -64,7 +58,6 @@ and desc =
       slot : slot;
       pos_slot : slot option;
       var : Qname.t;
-      pos_var : Qname.t option;
       var_type : Ast.seq_type option;
       source : t;
       body : t;
@@ -77,6 +70,9 @@ and desc =
       body : t;
     }
   | C_where of t * t
+  | C_quantified of Ast.quantifier * (slot * Ast.seq_type option * t) list * t
+      (** each binding's source sees the bindings before it *)
+  | C_hash_join of join  (** an unordered planner join *)
   | C_cast_call of A.atomic_type * t  (** xs: constructor function *)
   | C_builtin_call of Qname.t * Functions.impl * t list
       (** call statically resolved to an fn: builtin *)
@@ -92,9 +88,23 @@ and desc =
   | C_computed_comment of t
   | C_computed_pi of t * t
   | C_computed_document of t
-  | C_opaque of Ast.expr  (** evaluated by the tree-walker *)
+  | C_opaque of Ast.expr * (Qname.t * slot) list
+      (** evaluated by the tree-walker, with the locals in scope
+          (innermost first) rebound from the frame *)
 
 and attr_part = CA_text of string | CA_enclosed of t
+
+and join = {
+  left_slot : slot;
+  left_source : t;
+  left_key : t;  (** sees the left variable *)
+  right_slot : slot;
+  right_source : t;
+  right_key : t;  (** sees the right variable *)
+  general : bool;
+  where : t option;  (** sees both variables *)
+  return : t;  (** sees both variables *)
+}
 
 (* ------------------------------------------------------------------ *)
 (* lowering                                                            *)
@@ -112,34 +122,13 @@ let fresh st =
   if st.next > st.high then st.high <- st.next;
   s
 
-(* fn: builtins whose streaming interpretation pulls early-exit
-   cursors ({!Eval.streaming_call}): calls to these delegate so the
-   compiled engine keeps the interpreter's pull-for-pull behaviour *)
-let streaming_builtin (qn : Qname.t) nargs =
-  qn.Qname.uri = Some Qname.Ns.fn
-  &&
-  match (qn.Qname.local, nargs) with
-  | ("exists" | "empty" | "head" | "boolean" | "not"), 1 -> true
-  | "subsequence", (2 | 3) -> true
-  | _ -> false
-
-(* count(e) compared against an integer literal: the interpreter pulls
-   at most k+1 items; delegate the whole comparison *)
-let is_count_literal_shape a b =
-  let count_call = function
-    | Ast.E_call ({ Qname.local = "count"; uri = Some u; _ }, [ _ ]) ->
-        u = Qname.Ns.fn
-    | _ -> false
-  and int_literal = function
-    | Ast.E_literal (A.Integer _) -> true
-    | _ -> false
-  in
-  (count_call a && int_literal b) || (int_literal a && count_call b)
+let bind var slot scope = (Qname.to_clark var, (var, slot)) :: scope
 
 let rec of_ast st (scope : scope) (e : Ast.expr) : t =
   let k d = { d; ast = e } in
   let sub e' = of_ast st scope e' in
-  if Ast.is_updating e then k (C_opaque e)
+  let opaque () = k (C_opaque (e, List.map snd scope)) in
+  if Ast.is_updating e then opaque ()
   else
     match e with
     | Ast.E_literal a -> k (C_atomic a)
@@ -155,12 +144,7 @@ let rec of_ast st (scope : scope) (e : Ast.expr) : t =
     | Ast.E_if (c, t, f) -> k (C_if (sub c, sub t, sub f))
     | Ast.E_or (a, b) -> k (C_or (sub a, sub b))
     | Ast.E_and (a, b) -> k (C_and (sub a, sub b))
-    | Ast.(E_value_comp (_, a, b) | E_general_comp (_, a, b))
-      when is_count_literal_shape a b ->
-        k (C_opaque e)
     | Ast.E_value_comp (op, a, b) -> k (C_value_comp (op, sub a, sub b))
-    | Ast.E_general_comp (op, a, b) when Focus_analysis.worth_streaming a ->
-        k (C_general_comp_stream (op, a, sub b))
     | Ast.E_general_comp (op, a, b) -> k (C_general_comp (op, sub a, sub b))
     | Ast.E_node_comp (op, a, b) -> k (C_node_comp (op, sub a, sub b))
     | Ast.E_arith (op, a, b) -> k (C_arith (op, sub a, sub b))
@@ -178,9 +162,32 @@ let rec of_ast st (scope : scope) (e : Ast.expr) : t =
     | Ast.E_filter (a, preds) -> k (C_filter (sub a, List.map sub preds))
     | Ast.E_flwor { clauses; where; order = []; return } ->
         { d = lower_flwor st scope clauses where return; ast = e }
-    | Ast.E_flwor _ -> k (C_opaque e) (* order-by: interpreter's sort *)
-    | Ast.E_call (qn, args) when streaming_builtin qn (List.length args) ->
-        k (C_opaque e)
+    | Ast.E_flwor _ -> opaque () (* order-by: the evaluator's sort *)
+    | Ast.E_quantified (quant, binds, body) ->
+        let rec go scope acc = function
+          | [] -> k (C_quantified (quant, List.rev acc, of_ast st scope body))
+          | (var, var_type, src) :: rest ->
+              let src = of_ast st scope src in
+              let slot = fresh st in
+              go (bind var slot scope) ((slot, var_type, src) :: acc) rest
+        in
+        go scope [] binds
+    | Ast.E_hash_join j when j.Ast.jorder = [] ->
+        let left_source = sub j.Ast.jleft_source in
+        let left_slot = fresh st in
+        let lscope = bind j.Ast.jleft_var left_slot scope in
+        let left_key = of_ast st lscope j.Ast.jleft_key in
+        let right_source = sub j.Ast.jright_source in
+        let right_slot = fresh st in
+        let right_key =
+          of_ast st (bind j.Ast.jright_var right_slot scope) j.Ast.jright_key
+        in
+        let both = of_ast st (bind j.Ast.jright_var right_slot lscope) in
+        let where = Option.map both j.Ast.jwhere in
+        let return = both j.Ast.jreturn in
+        k (C_hash_join { left_slot; left_source; left_key; right_slot;
+                         right_source; right_key; general = j.Ast.jgeneral;
+                         where; return })
     | Ast.E_call (qn, args) -> k (lower_call st scope qn args)
     | Ast.E_ordered a | Ast.E_unordered a | Ast.E_enclosed a ->
         { (sub a) with ast = e }
@@ -207,17 +214,17 @@ let rec of_ast st (scope : scope) (e : Ast.expr) : t =
     | Ast.E_computed_comment a -> k (C_computed_comment (sub a))
     | Ast.E_computed_pi (n, c) -> k (C_computed_pi (sub n, sub c))
     | Ast.E_computed_document a -> k (C_computed_document (sub a))
-    (* delegated wholesale: streaming-sensitive, scripting, or rare *)
-    | Ast.E_hash_join _ | Ast.E_quantified _ | Ast.E_typeswitch _
+    (* delegated wholesale: ordered, scripting, or rare *)
+    | Ast.E_hash_join _ | Ast.E_typeswitch _
     | Ast.E_transform _ | Ast.E_ftcontains _ | Ast.E_block _
     | Ast.E_get_style _ ->
-        k (C_opaque e)
+        opaque ()
     (* updating forms are caught by the [is_updating] guard above; this
        arm keeps the match exhaustive if new ones appear *)
     | Ast.E_insert _ | Ast.E_delete _ | Ast.E_replace _ | Ast.E_rename _
     | Ast.E_event_attach _ | Ast.E_event_detach _ | Ast.E_event_trigger _
     | Ast.E_set_style _ ->
-        k (C_opaque e)
+        opaque ()
 
 and lower_flwor st scope clauses where return =
   match clauses with
@@ -232,22 +239,22 @@ and lower_flwor st scope clauses where return =
   | Ast.For_clause { var; pos_var; var_type; source } :: rest ->
       let source = of_ast st scope source in
       let slot = fresh st in
-      let scope = (Qname.to_clark var, (var, slot)) :: scope in
+      let scope = bind var slot scope in
       let pos_slot, scope =
         match pos_var with
         | Some pv ->
             let ps = fresh st in
-            (Some ps, (Qname.to_clark pv, (pv, ps)) :: scope)
+            (Some ps, bind pv ps scope)
         | None -> (None, scope)
       in
       let body =
         { d = lower_flwor st scope rest where return; ast = return }
       in
-      C_for { slot; pos_slot; var; pos_var; var_type; source; body }
+      C_for { slot; pos_slot; var; var_type; source; body }
   | Ast.Let_clause { var; var_type; value } :: rest ->
       let value = of_ast st scope value in
       let slot = fresh st in
-      let scope = (Qname.to_clark var, (var, slot)) :: scope in
+      let scope = bind var slot scope in
       let body =
         { d = lower_flwor st scope rest where return; ast = return }
       in

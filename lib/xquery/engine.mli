@@ -15,12 +15,12 @@ type compiled = {
           evaluation was off at compile time *)
 }
 
-(** Compiled-evaluation ablation switch (default on; the
-    {!Eval.set_streaming} pattern). When enabled, {!compile} emits a
-    closure IR for the program body and its plain-expression functions,
-    and {!eval_body}/{!context_for} execute it; when disabled, the
-    tree-walking evaluator (the oracle) runs. Keys the query cache
-    ([C1|]/[C0|]) like the join-planner switch. *)
+(** Compiled-evaluation ablation switch (default on). When enabled,
+    {!compile} emits a closure IR for the program body and its
+    plain-expression functions, and {!eval_body}/{!context_for} execute
+    it, streaming the early-exit consumers; when disabled, the eager
+    tree-walking reference evaluator (the oracle) runs. Keys the query
+    cache ([C1|]/[C0|]) like the join-planner switch. *)
 val set_compiled_eval : bool -> unit
 
 val compiled_eval_enabled : unit -> bool

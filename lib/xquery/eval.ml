@@ -14,20 +14,13 @@ let type_err fmt = err Xq_error.type_error_code fmt
 
 let max_depth = 4000
 
-(* Streaming ablation switch (mirrors Dom.set_acceleration). When on,
-   early-exit consumers — EBV contexts, quantifiers, fn:exists/empty/
-   head/subsequence, bounded count comparisons, positional takes —
-   pull items through lazy Xdm_seq cursors instead of materialising
-   whole sequences. The eager path is kept intact as the oracle. *)
-let streaming = ref true
-let set_streaming b = streaming := b
-let streaming_enabled () = !streaming
-
 (* wrap Xdm exceptions into Xq_error *)
 let guard f =
   try f () with
   | A.Type_error m -> type_err "%s" m
   | A.Cast_error m -> err Xq_error.cast_error_code "%s" m
+  | A.Dynamic_error (code, m) -> err code "%s" m
+  | Xdm_duration.Overflow m -> err "FODT0002" "%s" m
   | Division_by_zero -> err Xq_error.div_by_zero "division by zero"
 
 let protect = guard
@@ -165,41 +158,75 @@ let record_axis_scope axis n =
   | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Following | Ast.Preceding ->
       scope_of (Dom.root n)
 
-(* Nodes selected by one axis step. descendant::name and
-   descendant-or-self::name (what the optimizer rewrites //name into)
-   resolve through the per-document local-name index instead of
-   filtering the materialised descendant list. *)
-let step_nodes axis (test : Ast.node_test) n =
+(* lazy pre-order walks; the only truly incremental axes are the
+   downward ones (children lists are already materialised in the DOM) *)
+let rec subtree_seq n () = Seq.Cons (n, descendants_seq n)
+
+and descendants_seq n () =
+  Seq.concat_map subtree_seq (List.to_seq (Dom.children n)) ()
+
+let axis_seq (axis : Ast.axis) node : Dom.node Seq.t =
+  match axis with
+  | Ast.Child -> List.to_seq (Dom.children node)
+  | Ast.Descendant -> descendants_seq node
+  | Ast.Descendant_or_self -> subtree_seq node
+  | Ast.Attribute_axis -> List.to_seq (Dom.attributes node)
+  | Ast.Self -> Seq.return node
+  | _ ->
+      (* the remaining axes are list-producing anyway; delay the
+         materialisation until the first pull *)
+      fun () -> List.to_seq (axis_nodes axis node) ()
+
+let count_step axis =
   if !Obs.Metrics.enabled then begin
     Obs.Metrics.incr "eval.steps";
     Obs.Metrics.incr (axis_metric axis)
-  end;
-  let finish_local hits refine =
-    if !Obs.Metrics.enabled then Obs.Metrics.incr "eval.step.desc-index";
-    let hits =
-      match refine with None -> hits | Some f -> List.filter f hits
-    in
-    match (axis : Ast.axis) with
-    | Ast.Descendant -> List.filter (fun m -> not (Dom.equal m n)) hits
-    | _ -> hits
-  in
+  end
+
+(* descendant::name and descendant-or-self::name (what the optimizer
+   rewrites //name into) select from the per-document local-name index
+   instead of walking the subtree: the bucket, in document order, and
+   the test a member must pass to match the exact name and axis. [None]
+   when the index does not apply. *)
+let desc_index_select axis (test : Ast.node_test) n =
   match (axis, test) with
-  | (Ast.Descendant | Ast.Descendant_or_self), Ast.Local_wildcard local
+  | (Ast.Descendant | Ast.Descendant_or_self), (Ast.Local_wildcard _ | Ast.Name_test _)
     when Dom.acceleration_enabled () ->
-      finish_local (Dom.get_elements_by_local_name n local) None
-  | (Ast.Descendant | Ast.Descendant_or_self), Ast.Name_test qn
-    when Dom.acceleration_enabled () ->
-      (* probe by the name's pre-interned symbol *)
-      finish_local
-        (Dom.get_elements_by_local_sym n qn.Qname.lsym)
-        (Some
-           (fun m ->
-             match Dom.name m with
-             | Some nm -> Qname.equal nm qn
-             | None -> false))
-  | _ ->
+      if !Obs.Metrics.enabled then Obs.Metrics.incr "eval.step.desc-index";
+      let bucket, named =
+        match test with
+        | Ast.Name_test qn ->
+            (* probe by the name's pre-interned symbol *)
+            ( Dom.get_elements_by_local_sym n qn.Qname.lsym,
+              fun m ->
+                match Dom.name m with Some nm -> Qname.equal nm qn | None -> false )
+        | Ast.Local_wildcard local ->
+            (Dom.get_elements_by_local_name n local, fun _ -> true)
+        | _ -> assert false (* excluded by the outer pattern *)
+      in
+      (match axis with
+      | Ast.Descendant -> Some (bucket, fun m -> named m && not (Dom.equal m n))
+      | _ -> Some (bucket, named))
+  | _ -> None
+
+(* Nodes selected by one axis step, eagerly ([step_nodes]) or as a
+   lazy producer that selects at its first pull ([step_node_seq]). *)
+let step_nodes axis (test : Ast.node_test) n =
+  count_step axis;
+  match desc_index_select axis test n with
+  | Some (bucket, keep) -> List.filter keep bucket
+  | None ->
       if Footprint.recording () then record_axis_scope axis n;
       List.filter (node_test_matches ~axis test) (axis_nodes axis n)
+
+let step_node_seq axis (test : Ast.node_test) n : Dom.node Seq.t =
+ fun () ->
+  count_step axis;
+  match desc_index_select axis test n with
+  | Some (bucket, keep) -> Seq.filter keep (List.to_seq bucket) ()
+  | None ->
+      if Footprint.recording () then record_axis_scope axis n;
+      Seq.filter (node_test_matches ~axis test) (axis_seq axis n) ()
 
 (* Value-index lookup: answer a leading [@k eq 'lit'] / [@k = 'lit'] /
    [k = 'lit'] predicate on a descendant step from the per-root value
@@ -245,11 +272,8 @@ let value_index_step axis test preds n =
       && (match axis with Ast.Descendant -> not (Dom.equal el n) | _ -> true)
     in
     let finish nodes rest =
-      if !Obs.Metrics.enabled then begin
-        Obs.Metrics.incr "eval.steps";
-        Obs.Metrics.incr (axis_metric axis);
-        Obs.Metrics.incr "eval.step.value-index"
-      end;
+      count_step axis;
+      if !Obs.Metrics.enabled then Obs.Metrics.incr "eval.step.value-index";
       Some (List.sort_uniq Dom.compare_order nodes, rest)
     in
     (* probes key on the Qname's pre-interned symbol *)
@@ -321,35 +345,6 @@ let value_index_step axis test preds n =
         | _ -> None)
     | [] -> None
   end
-
-(* ------------------------------------------------------------------ *)
-(* Streaming: lazy axis producers and static shape analyses            *)
-
-(* lazy pre-order walks; the only truly incremental axes are the
-   downward ones (children lists are already materialised in the DOM) *)
-let rec subtree_seq n () = Seq.Cons (n, descendants_seq n)
-
-and descendants_seq n () =
-  Seq.concat_map subtree_seq (List.to_seq (Dom.children n)) ()
-
-let axis_seq (axis : Ast.axis) node : Dom.node Seq.t =
-  match axis with
-  | Ast.Child -> List.to_seq (Dom.children node)
-  | Ast.Descendant -> descendants_seq node
-  | Ast.Descendant_or_self -> subtree_seq node
-  | Ast.Attribute_axis -> List.to_seq (Dom.attributes node)
-  | Ast.Self -> Seq.return node
-  | _ ->
-      (* the remaining axes are list-producing anyway; delay the
-         materialisation until the first pull *)
-      fun () -> List.to_seq (axis_nodes axis node) ()
-
-(* shared static analyses, see {!Focus_analysis} *)
-let forward_ordered = Focus_analysis.forward_ordered
-let seq_class = Focus_analysis.seq_class
-let take_shape = Focus_analysis.take_shape
-let worth_streaming = Focus_analysis.worth_streaming
-let has_bounded_take = Focus_analysis.has_bounded_take
 
 (* ------------------------------------------------------------------ *)
 (* Shared rules                                                        *)
@@ -444,9 +439,9 @@ let node_comp op na nb =
 (* -------- arithmetic -------- *)
 
 (* The operation is picked once per [op]; integer-integer operands
-   take a direct int op ({!Xdm_atomic.numeric_op} with an identity
-   promotion), except division and the by-zero cases, which keep the
-   generic path for its error mapping. *)
+   take the checked int op directly (what {!Xdm_atomic.numeric_op}
+   does after an identity promotion), except division and the by-zero
+   cases, which keep the generic path for its error mapping. *)
 let arith op =
   let f =
     match (op : Ast.arith) with
@@ -460,13 +455,15 @@ let arith op =
   fun ra rb ->
     match (ra, rb) with
     | [ I.Atomic (A.Integer i as x) ], [ I.Atomic (A.Integer j as y) ] -> (
-        match op with
-        | Ast.Add -> [ I.Atomic (A.Integer (i + j)) ]
-        | Ast.Sub -> [ I.Atomic (A.Integer (i - j)) ]
-        | Ast.Mul -> [ I.Atomic (A.Integer (i * j)) ]
-        | Ast.Mod when j <> 0 -> [ I.Atomic (A.Integer (i mod j)) ]
-        | Ast.Idiv when j <> 0 -> [ I.Atomic (A.Integer (i / j)) ]
-        | _ -> [ I.Atomic (guard (fun () -> f x y)) ])
+        try
+          match op with
+          | Ast.Add -> [ I.Atomic (A.Integer (A.int_add i j)) ]
+          | Ast.Sub -> [ I.Atomic (A.Integer (A.int_sub i j)) ]
+          | Ast.Mul -> [ I.Atomic (A.Integer (A.int_mul i j)) ]
+          | Ast.Mod when j <> 0 -> [ I.Atomic (A.Integer (i mod j)) ]
+          | Ast.Idiv when j <> 0 -> [ I.Atomic (A.Integer (A.int_div i j)) ]
+          | _ -> [ I.Atomic (guard (fun () -> f x y)) ]
+        with A.Dynamic_error (code, m) -> err code "%s" m)
     | _ -> (
         match (I.atomize ra, I.atomize rb) with
         | [], _ | _, [] -> []
@@ -619,6 +616,114 @@ let range lo hi =
       List.init (hi - lo + 1) (fun i -> I.Atomic (A.Integer (lo + i)))
   | None -> []
 
+(* -------- quantifiers and joins -------- *)
+
+(* [some]/[every] over one binding's items, coerced to its declared
+   type; the first deciding item stops the walk *)
+let quantify quant var_type test (items : I.item Seq.t) =
+  let coerce st it = List.hd (Seq_type.coerce ~what:"quantifier binding" st [ it ]) in
+  let test = Option.fold ~none:test ~some:(fun st it -> test (coerce st it)) var_type in
+  match (quant : Ast.quantifier) with
+  | Ast.Some_quant -> Seq.exists test items
+  | Ast.Every_quant -> Seq.for_all test items
+
+(* Hash-join execution (planner-introduced; see Optimizer's join
+   section). The right (build) side is hashed on its key's string
+   atoms — both keys are variable-rooted node paths, so every atom is
+   xs:untypedAtomic and string equality is exactly the comparison
+   semantics of [eq] and of untyped-vs-untyped [=]. The left (probe)
+   side streams through; (probe, build) pairs come out probe-major with
+   build-side matches in source order, i.e. the nested-loop tuple
+   order. The callers bind the join variables — by name in {!eval}, by
+   frame slot in {!Compile}.
+
+   Error parity with the nested-loop plan: the build is forced lazily
+   at the first probe item, so an empty left source never evaluates
+   the right source (the eager plan's second for clause expands an
+   empty tuple set); an empty *right source* skips probe-key
+   evaluation the same way (no tuples, so the eager where never
+   runs). A multi-valued [eq] key is a singleton type error under the
+   nested-loop plan only for pairs where the *other* operand is
+   non-empty (empty operands make the comparison empty, hence false,
+   before the cardinality of the other side matters) — so a
+   multi-valued build key marks its position instead of raising, and
+   each probe item with a non-empty key yields its matches from
+   earlier build rows and then raises lazily when the consumer pulls
+   past them, mirroring the nested loop's pair-by-pair order (an
+   early-exiting consumer may stop before the erroring pair). Which
+   of several inevitable errors is reported may still differ from the
+   eager plan's pair order — XQuery §2.3.4 allows that reordering. *)
+let hash_join ~general ~build ~build_key ~probe_key (probe_items : I.item Seq.t)
+    : (I.item * I.item) Seq.t =
+  let table =
+    lazy
+      (let right = build () in
+       if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.join.hash_builds";
+       let tbl : (string, (int * I.item) list) Hashtbl.t =
+         Hashtbl.create (max 16 (List.length right))
+       in
+       (* first build row whose [eq] key has 2+ atoms: its pairs are
+          singleton type errors for every non-empty probe key *)
+       let pidx = ref max_int in
+       List.iteri
+         (fun i item ->
+           match I.atomize (build_key item) with
+           | _ :: _ :: _ when not general ->
+               if !pidx = max_int then pidx := i
+           | atoms ->
+               List.iter
+                 (fun a ->
+                   let ks = A.to_string a in
+                   let prev =
+                     Option.value ~default:[] (Hashtbl.find_opt tbl ks)
+                   in
+                   if not (List.exists (fun (i', _) -> i' = i) prev) then
+                     Hashtbl.replace tbl ks ((i, item) :: prev))
+                 atoms)
+         right;
+       Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl;
+       (tbl, !pidx, (match right with [] -> false | _ -> true)))
+  in
+  let probe item =
+    let tbl, pidx, had_rows = Lazy.force table in
+    let matches =
+      if not had_rows then Seq.empty
+      else begin
+        if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.join.probes";
+        match I.atomize (probe_key item) with
+        | [] -> Seq.empty
+        | atoms when general ->
+            (* several probe atoms can hit the same build row; the
+               existential [=] keeps the tuple once, in b-order *)
+            List.concat_map
+              (fun a ->
+                Option.value ~default:[] (Hashtbl.find_opt tbl (A.to_string a)))
+              atoms
+            |> List.sort_uniq (fun (i, _) (i', _) -> Int.compare i i')
+            |> List.to_seq
+        | [ a ] ->
+            let ms =
+              Option.value ~default:[] (Hashtbl.find_opt tbl (A.to_string a))
+            in
+            if pidx = max_int then List.to_seq ms
+            else
+              (* matches before the multi-valued build row stream
+                 out; pulling past them reaches the erroring pair *)
+              Seq.append
+                (List.to_seq (List.filter (fun (i, _) -> i < pidx) ms))
+                (fun () -> singleton_comparison_error ())
+        | _ ->
+            (* multi-valued [eq] probe key: every pair against a
+               non-empty build key errors, and pairs against empty
+               keys are false, so the first keyed build row raises *)
+            if Hashtbl.length tbl > 0 || pidx < max_int then singleton_comparison_error ()
+            else Seq.empty
+      end
+    in
+    Seq.map (fun (_, bitem) -> (item, bitem)) matches
+  in
+  Seq.concat_map probe probe_items
+
 (* -------- calls -------- *)
 
 let call_ctx (ctx : D.t) =
@@ -639,6 +744,12 @@ let call_builtin ~impure ctx impl args =
   count_call "eval.calls.builtin";
   if impure then Footprint.poison ();
   guard (fun () -> impl (call_ctx ctx) args)
+
+(* a builtin call whose body consumes its argument cursors itself
+   (the compiler's early-exit builtins): counted like {!call_builtin} *)
+let call_early_exit f =
+  count_call "eval.calls.builtin";
+  guard f
 
 (* the boundary of a function or program body: [exit with] returns
    its value, a stray [break]/[continue] is an error *)
@@ -794,32 +905,16 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   | Ast.E_range (a, b) ->
       let lo = range_endpoint (eval ctx a) in
       range lo (range_endpoint (eval ctx b))
-  | Ast.E_if (c, t, f) ->
-      if ebv_stream ctx c then eval ctx t else eval ctx f
+  | Ast.E_if (c, t, f) -> if ebv ctx c then eval ctx t else eval ctx f
   | Ast.E_or (a, b) ->
-      if ebv_stream ctx a then [ I.Atomic (A.Boolean true) ]
-      else [ I.Atomic (A.Boolean (ebv_stream ctx b)) ]
+      if ebv ctx a then [ I.Atomic (A.Boolean true) ]
+      else [ I.Atomic (A.Boolean (ebv ctx b)) ]
   | Ast.E_and (a, b) ->
-      if not (ebv_stream ctx a) then [ I.Atomic (A.Boolean false) ]
-      else [ I.Atomic (A.Boolean (ebv_stream ctx b)) ]
-  (* count(e) compared against an integer literal: pull at most k+1
-     items instead of counting the whole sequence (the optimizer
-     normalises literal-on-the-left shapes into these) *)
-  | Ast.E_value_comp (op, Ast.E_call (qn, [ arg ]), Ast.E_literal (A.Integer k))
-  | Ast.E_general_comp (op, Ast.E_call (qn, [ arg ]), Ast.E_literal (A.Integer k))
-    when !streaming && resolves_to_builtin ctx qn "count" ~arity:1 ->
-      bounded_count ctx op arg k
-  | Ast.E_value_comp (op, Ast.E_literal (A.Integer k), Ast.E_call (qn, [ arg ]))
-  | Ast.E_general_comp (op, Ast.E_literal (A.Integer k), Ast.E_call (qn, [ arg ]))
-    when !streaming && resolves_to_builtin ctx qn "count" ~arity:1 ->
-      bounded_count ctx (Focus_analysis.mirror_comp op) arg k
+      if not (ebv ctx a) then [ I.Atomic (A.Boolean false) ]
+      else [ I.Atomic (A.Boolean (ebv ctx b)) ]
   | Ast.E_value_comp (op, a, b) ->
       let ra = eval ctx a in
       value_comp op ra (eval ctx b)
-  | Ast.E_general_comp (op, a, b) when !streaming && worth_streaming a ->
-      (* materialise the (usually small) rhs, stream the lhs *)
-      let rb = eval ctx b in
-      general_comp_stream op (eval_seq ctx a) rb
   | Ast.E_general_comp (op, a, b) ->
       let ra = eval ctx a in
       general_comp op ra (eval ctx b)
@@ -844,18 +939,6 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   | Ast.E_castable_as (e, ty, optional) -> castable_as ty optional (eval ctx e)
   | Ast.E_cast_as (e, ty, optional) -> cast_as ty optional (eval ctx e)
   | Ast.E_root -> root ctx
-  (* a bounded positional take in the final step ((//x)[1],
-     //x[position() le 10]): stream and stop pulling at the bound.
-     E_path streams only when its chain is provably document-ordered
-     (seq_class), so no re-sort is skipped unsoundly. *)
-  | (Ast.E_step _ | Ast.E_filter _) as e
-    when !streaming && has_bounded_take e && not (Ast.is_updating e) ->
-      Xdm_seq.to_list (eval_seq ctx e)
-  | Ast.E_path _
-    when !streaming && has_bounded_take e
-         && seq_class e <> `Unknown
-         && not (Ast.is_updating e) ->
-      Xdm_seq.to_list (eval_seq ctx e)
   | Ast.E_step (axis, test, preds) ->
       step ctx axis test preds preds ~filter:apply_predicates ctx
   | Ast.E_path (e1, e2) -> path ctx (eval ctx e1) (fun c -> eval c e2)
@@ -865,51 +948,26 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
   | Ast.E_flwor { clauses; where; order; return } ->
       eval_flwor ctx ~clauses ~where ~order ~return
   | Ast.E_hash_join j ->
-      let tuples = List.of_seq (hash_join_tuples ctx j) in
-      let tuples = order_tuples j.Ast.jorder tuples in
-      List.concat_map (fun c -> eval c j.Ast.jreturn) tuples
-  | Ast.E_quantified (quant, binds, body) when !streaming ->
-      (* pull binding sources lazily; exists/for_all stop at the first
-         deciding item *)
-      let rec go ctx = function
-        | [] -> ebv_stream ctx body
-        | (var, var_type, src) :: rest ->
-            let items = Xdm_seq.items (eval_seq ctx src) in
-            let items =
-              match var_type with
-              | Some st ->
-                  Seq.map
-                    (fun it ->
-                      List.hd
-                        (Seq_type.coerce ~what:"quantifier binding" st [ it ]))
-                    items
-              | None -> items
-            in
-            let test item = go (D.bind ctx var [ item ]) rest in
-            (match quant with
-            | Ast.Some_quant -> Seq.exists test items
-            | Ast.Every_quant -> Seq.for_all test items)
-      in
-      [ I.Atomic (A.Boolean (go ctx binds)) ]
+      let left c l = D.bind c j.Ast.jleft_var [ l ]
+      and right c r = D.bind c j.Ast.jright_var [ r ] in
+      hash_join ~general:j.Ast.jgeneral
+        ~build:(fun () -> eval ctx j.Ast.jright_source)
+        ~build_key:(fun r -> eval (right ctx r) j.Ast.jright_key)
+        ~probe_key:(fun l -> eval (left ctx l) j.Ast.jleft_key)
+        (List.to_seq (eval ctx j.Ast.jleft_source))
+      |> Seq.map (fun (l, r) -> right (left ctx l) r)
+      |> Seq.filter (fun c -> Option.fold ~none:true ~some:(ebv c) j.Ast.jwhere)
+      |> List.of_seq |> order_tuples j.Ast.jorder
+      |> List.concat_map (fun c -> eval c j.Ast.jreturn)
   | Ast.E_quantified (quant, binds, body) ->
       let rec go ctx = function
-        | [] -> I.effective_boolean (eval ctx body)
+        | [] -> ebv ctx body
         | (var, var_type, src) :: rest ->
-            let items = eval ctx src in
-            let items =
-              match var_type with
-              | Some st ->
-                  List.map
-                    (fun it -> List.hd (Seq_type.coerce ~what:"quantifier binding" st [ it ]))
-                    items
-              | None -> items
-            in
-            let test item = go (D.bind ctx var [ item ]) rest in
-            (match quant with
-            | Ast.Some_quant -> List.exists test items
-            | Ast.Every_quant -> List.for_all test items)
+            quantify quant var_type
+              (fun item -> go (D.bind ctx var [ item ]) rest)
+              (List.to_seq (eval ctx src))
       in
-      [ I.Atomic (A.Boolean (go ctx binds)) ]
+      bool_seq (go ctx binds)
   | Ast.E_typeswitch (op, cases, (default_var, default_body)) -> (
       let v = eval ctx op in
       let rec try_cases = function
@@ -931,7 +989,7 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
             else try_cases rest
       in
       try_cases cases)
-  | Ast.E_call (qn, args) -> eval_call ctx qn args
+  | Ast.E_call (qn, args) -> call_function ctx qn (List.map (eval ctx) args)
   | Ast.E_ordered e | Ast.E_unordered e -> eval ctx e
   | Ast.E_enclosed e -> eval ctx e
   (* ---- constructors ---- *)
@@ -1069,6 +1127,8 @@ let rec eval (ctx : D.t) (e : Ast.expr) : I.sequence =
           | None -> [])
       | _ -> [])
 
+and ebv ctx e = I.effective_boolean (eval ctx e)
+
 and eval_set_op ctx op a b =
   let ra = eval ctx a in
   set_op op ra (eval ctx b)
@@ -1113,7 +1173,7 @@ and eval_flwor ctx ~clauses ~where ~order ~return =
   let tuples =
     match where with
     | None -> tuples
-    | Some w -> List.filter (fun c -> ebv_stream c w) tuples
+    | Some w -> List.filter (fun c -> ebv c w) tuples
   in
   let tuples = order_tuples order tuples in
   List.concat_map (fun c -> eval c return) tuples
@@ -1165,109 +1225,6 @@ and order_tuples order tuples =
     List.stable_sort (fun (ka, _) (kb, _) -> compare_keys ka kb) keyed
     |> List.map snd
   end
-
-(* Hash-join execution (planner-introduced; see Optimizer's join
-   section). The right (build) side is hashed on its key's string
-   atoms — both keys are variable-rooted node paths, so every atom is
-   xs:untypedAtomic and string equality is exactly the comparison
-   semantics of [eq] and of untyped-vs-untyped [=]. The left (probe)
-   side streams through; tuples come out probe-major with build-side
-   matches in source order, i.e. the nested-loop tuple order.
-
-   Error parity with the nested-loop plan: the build is forced lazily
-   at the first probe item, so an empty left source never evaluates
-   the right source (the eager plan's second for clause expands an
-   empty tuple set); an empty *right source* skips probe-key
-   evaluation the same way (no tuples, so the eager where never
-   runs). A multi-valued [eq] key is a singleton type error under the
-   nested-loop plan only for pairs where the *other* operand is
-   non-empty (empty operands make the comparison empty, hence false,
-   before the cardinality of the other side matters) — so a
-   multi-valued build key marks its position instead of raising, and
-   each probe item with a non-empty key yields its matches from
-   earlier build rows and then raises lazily when the consumer pulls
-   past them, mirroring the nested loop's pair-by-pair order (an
-   early-exiting consumer may stop before the erroring pair). Which
-   of several inevitable errors is reported may still differ from the
-   eager plan's pair order — XQuery §2.3.4 allows that reordering. *)
-and hash_join_tuples ctx (j : Ast.hash_join) : D.t Seq.t =
-  let table =
-    lazy
-      (let right = eval ctx j.Ast.jright_source in
-       if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.join.hash_builds";
-       let tbl : (string, (int * I.item) list) Hashtbl.t =
-         Hashtbl.create (max 16 (List.length right))
-       in
-       (* first build row whose [eq] key has 2+ atoms: its pairs are
-          singleton type errors for every non-empty probe key *)
-       let pidx = ref max_int in
-       List.iteri
-         (fun i item ->
-           let c = D.bind ctx j.Ast.jright_var [ item ] in
-           match I.atomize (eval c j.Ast.jright_key) with
-           | _ :: _ :: _ when not j.Ast.jgeneral ->
-               if !pidx = max_int then pidx := i
-           | atoms ->
-               List.iter
-                 (fun a ->
-                   let ks = A.to_string a in
-                   let prev =
-                     Option.value ~default:[] (Hashtbl.find_opt tbl ks)
-                   in
-                   if not (List.exists (fun (i', _) -> i' = i) prev) then
-                     Hashtbl.replace tbl ks ((i, item) :: prev))
-                 atoms)
-         right;
-       Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) tbl;
-       (tbl, !pidx, (match right with [] -> false | _ -> true)))
-  in
-  let probe item =
-    let c = D.bind ctx j.Ast.jleft_var [ item ] in
-    let tbl, pidx, had_rows = Lazy.force table in
-    let matches =
-      if not had_rows then Seq.empty
-      else begin
-        if !Obs.Metrics.enabled then Obs.Metrics.incr "xquery.join.probes";
-        match I.atomize (eval c j.Ast.jleft_key) with
-        | [] -> Seq.empty
-        | atoms when j.Ast.jgeneral ->
-            (* several probe atoms can hit the same build row; the
-               existential [=] keeps the tuple once, in b-order *)
-            List.concat_map
-              (fun a ->
-                Option.value ~default:[] (Hashtbl.find_opt tbl (A.to_string a)))
-              atoms
-            |> List.sort_uniq (fun (i, _) (i', _) -> Int.compare i i')
-            |> List.to_seq
-        | [ a ] ->
-            let ms =
-              Option.value ~default:[] (Hashtbl.find_opt tbl (A.to_string a))
-            in
-            if pidx = max_int then List.to_seq ms
-            else
-              (* matches before the multi-valued build row stream
-                 out; pulling past them reaches the erroring pair *)
-              Seq.append
-                (List.to_seq (List.filter (fun (i, _) -> i < pidx) ms))
-                (fun () -> singleton_comparison_error ())
-        | _ ->
-            (* multi-valued [eq] probe key: every pair against a
-               non-empty build key errors, and pairs against empty
-               keys are false, so the first keyed build row raises *)
-            if Hashtbl.length tbl > 0 || pidx < max_int then singleton_comparison_error ()
-            else Seq.empty
-      end
-    in
-    Seq.map (fun (_, bitem) -> D.bind c j.Ast.jright_var [ bitem ]) matches
-  in
-  let left_items =
-    if !streaming then Xdm_seq.items (eval_seq ctx j.Ast.jleft_source)
-    else List.to_seq (eval ctx j.Ast.jleft_source)
-  in
-  let pairs = Seq.concat_map probe left_items in
-  match j.Ast.jwhere with
-  | None -> pairs
-  | Some w -> Seq.filter (fun c -> ebv_stream c w) pairs
 
 and eval_insert ctx pos source_e target_e =
   let source_items = eval ctx source_e in
@@ -1372,287 +1329,6 @@ and eval_block ctx ~script stmts =
   end
 
 (* -------- function calls -------- *)
-
-and eval_call ctx qn arg_exprs =
-  match (if !streaming then streaming_call ctx qn arg_exprs else None) with
-  | Some r -> r
-  | None ->
-      let args = List.map (eval ctx) arg_exprs in
-      call_function ctx qn args
-
-(* ---- streaming machinery ---- *)
-
-and ebv_stream ctx e =
-  if !streaming then Xdm_seq.effective_boolean (eval_seq ctx e)
-  else I.effective_boolean (eval ctx e)
-
-(* count(e) op k with m = min(count(e), k+1) pulled items:
-   m op k ⟺ count(e) op k for every comparison operator *)
-and bounded_count ctx op arg k =
-  let bound = if k >= max_int - 1 then max_int else max 0 (k + 1) in
-  let m = Seq.length (Seq.take bound (Xdm_seq.items (eval_seq ctx arg))) in
-  let r =
-    match (op : Ast.value_comp) with
-    | Ast.Eq -> m = k
-    | Ast.Ne -> m <> k
-    | Ast.Lt -> m < k
-    | Ast.Le -> m <= k
-    | Ast.Gt -> m > k
-    | Ast.Ge -> m >= k
-  in
-  [ I.Atomic (A.Boolean r) ]
-
-(* does [qn] resolve to the fn: builtin [name] (not shadowed by a
-   user declaration or an external binding, not security-blocked)? *)
-and resolves_to_builtin ctx qn name ~arity =
-  qn.Qname.uri = Some Qname.Ns.fn
-  && String.equal qn.Qname.local name
-  && (not (Static_context.is_blocked ctx.D.static qn))
-  && Option.is_none (Static_context.find_function ctx.D.static qn ~arity)
-  && Option.is_none (Static_context.find_external ctx.D.static qn ~arity)
-
-(* Early-exit builtins take their arguments as cursors: fn:exists /
-   fn:empty / fn:head pull at most one item, EBV-based fn:boolean /
-   fn:not at most two, fn:subsequence a bounded prefix. Only fires
-   when the name resolves to the builtin. *)
-and streaming_call ctx qn arg_exprs =
-  let builtin name =
-    resolves_to_builtin ctx qn name ~arity:(List.length arg_exprs)
-  in
-  let count_builtin () = count_call "eval.calls.builtin" in
-  let bool1 b =
-    count_builtin ();
-    Some (bool_seq b)
-  in
-  match arg_exprs with
-  | [ e ] when builtin "exists" ->
-      bool1 (not (Xdm_seq.is_empty (eval_seq ctx e)))
-  | [ e ] when builtin "empty" -> bool1 (Xdm_seq.is_empty (eval_seq ctx e))
-  | [ e ] when builtin "head" ->
-      count_builtin ();
-      Some
-        (match Xdm_seq.head (eval_seq ctx e) with
-        | Some it -> [ it ]
-        | None -> [])
-  | [ e ] when builtin "boolean" ->
-      bool1 (Xdm_seq.effective_boolean (eval_seq ctx e))
-  | [ e ] when builtin "not" ->
-      bool1 (not (Xdm_seq.effective_boolean (eval_seq ctx e)))
-  | ([ _; _ ] | [ _; _; _ ]) when builtin "subsequence" ->
-      count_builtin ();
-      Some (subsequence_stream ctx arg_exprs)
-  | _ -> None
-
-(* mirrors the eager fn:subsequence exactly (round-to-nearest bounds,
-   NaN → empty), but pulls only the ceil(upto)-1 prefix *)
-and subsequence_stream ctx arg_exprs =
-  let e, start_e, len_e =
-    match arg_exprs with
-    | [ e; s ] -> (e, s, None)
-    | [ e; s; l ] -> (e, s, Some l)
-    | _ -> assert false
-  in
-  let num x =
-    guard (fun () -> I.item_number (I.Atomic (I.singleton_atomic (eval ctx x))))
-  in
-  let start = num start_e in
-  let len =
-    match len_e with Some l -> num l | None -> Float.infinity
-  in
-  let from = Float.floor (start +. 0.5) in
-  let upto =
-    if len = Float.infinity then Float.infinity
-    else from +. Float.floor (len +. 0.5)
-  in
-  if Float.is_nan from || Float.is_nan upto then []
-  else begin
-    let bound =
-      if upto = Float.infinity then max_int
-      else if upto <= 1. then 0
-      else if upto >= 1e18 then max_int
-      else int_of_float (Float.ceil upto) - 1
-    in
-    let prefix = Seq.take bound (Xdm_seq.items (eval_seq ctx e)) in
-    List.of_seq
-      (Seq.map snd
-         (Seq.filter
-            (fun (i, _) ->
-              let fi = float_of_int (i + 1) in
-              fi >= from && fi < upto)
-            (Seq.mapi (fun i x -> (i, x)) prefix)))
-  end
-
-(* the lazy mirror of [eval]: returns a pull cursor. Only expression
-   forms that genuinely benefit stream; everything else — and every
-   updating expression, whose pending-update side effects must not be
-   skipped — falls back to the eager evaluator. *)
-and eval_seq (ctx : D.t) (e : Ast.expr) : Xdm_seq.t =
-  if (not !streaming) || Ast.is_updating e then Xdm_seq.of_list (eval ctx e)
-  else
-    match e with
-    | Ast.E_sequence es ->
-        List.fold_left
-          (fun acc e ->
-            Xdm_seq.append acc
-              (Xdm_seq.make (fun () -> Xdm_seq.items (eval_seq ctx e) ())))
-          Xdm_seq.empty es
-    | Ast.E_range (a, b) -> (
-        let lo = range_endpoint (eval ctx a) in
-        match range_bounds lo (range_endpoint (eval ctx b)) with
-        | Some (lo, hi) ->
-            Xdm_seq.of_seq
-              (Seq.map
-                 (fun i -> I.Atomic (A.Integer i))
-                 (Seq.init (hi - lo + 1) (fun i -> lo + i)))
-        | None -> Xdm_seq.empty)
-    | Ast.E_if (c, t, f) ->
-        if ebv_stream ctx c then eval_seq ctx t else eval_seq ctx f
-    | Ast.E_step (axis, test, preds) -> (
-        match D.focus_item ctx with
-        | I.Atomic _ -> atomic_context_step ()
-        | I.Node n -> step_stream ctx axis test preds n)
-    | Ast.E_path (e1, Ast.E_step (axis, test, preds))
-      when (match seq_class e1 with
-           | `One -> forward_ordered axis
-           | `Sorted -> (
-               match axis with
-               | Ast.Self | Ast.Attribute_axis -> true
-               | _ -> false)
-           | `Unknown -> false) ->
-        (* the chain provably emits distinct nodes in document order:
-           stream it, skipping the document_order re-sort *)
-        let lhs = eval_seq ctx e1 in
-        Xdm_seq.make ~sorted:true
-          (Seq.concat_map
-             (fun item ->
-               match item with
-               | I.Node n -> Xdm_seq.items (step_stream ctx axis test preds n)
-               | I.Atomic _ -> atomic_path_step ())
-             (Xdm_seq.items lhs))
-    | Ast.E_filter (e1, preds) ->
-        apply_predicates_seq ctx (eval_seq ctx e1) preds
-    | Ast.E_flwor { clauses; where; order = []; return } ->
-        flwor_seq ctx clauses where return
-    | Ast.E_hash_join j when j.Ast.jorder = [] ->
-        (* unordered join output streams: the probe side is pulled
-           lazily, so exists/head/[position() le k] over a join stop
-           after the first matching probe items *)
-        Xdm_seq.make
-          (Seq.concat_map
-             (fun c -> Xdm_seq.items (eval_seq c j.Ast.jreturn))
-             (hash_join_tuples ctx j))
-    | _ -> Xdm_seq.of_list (eval ctx e)
-
-and step_stream ctx axis test preds n =
-  match value_index_step axis test preds n with
-  | Some (nodes, rest) ->
-      apply_predicates_seq ctx
-        (Xdm_seq.of_list ~sorted:true (List.map (fun m -> I.Node m) nodes))
-        rest
-  | None -> step_stream_scan ctx axis test preds n
-
-and step_stream_scan ctx axis test preds n =
-  let nodes =
-    match (axis, test) with
-    | ( (Ast.Descendant | Ast.Descendant_or_self),
-        ((Ast.Local_wildcard _ | Ast.Name_test _) as t) )
-      when Dom.acceleration_enabled () ->
-        (* the local-name index bucket is already materialised in
-           document order; stream it with lazy refinement instead of
-           the eager fast path's List.filter copies *)
-        fun () ->
-          if !Obs.Metrics.enabled then begin
-            Obs.Metrics.incr "eval.steps";
-            Obs.Metrics.incr (axis_metric axis);
-            Obs.Metrics.incr "eval.step.desc-index"
-          end;
-          let bucket, refine =
-            match t with
-            | Ast.Local_wildcard l -> (Dom.get_elements_by_local_name n l, None)
-            | Ast.Name_test qn ->
-                ( Dom.get_elements_by_local_sym n qn.Qname.lsym,
-                  Some
-                    (fun m ->
-                      match Dom.name m with
-                      | Some nm -> Qname.equal nm qn
-                      | None -> false) )
-            | _ -> assert false (* excluded by the outer pattern *)
-          in
-          let s = List.to_seq bucket in
-          let s = match refine with None -> s | Some f -> Seq.filter f s in
-          let s =
-            match axis with
-            | Ast.Descendant -> Seq.filter (fun m -> not (Dom.equal m n)) s
-            | _ -> s
-          in
-          s ()
-    | _ ->
-        if !Obs.Metrics.enabled then begin
-          Obs.Metrics.incr "eval.steps";
-          Obs.Metrics.incr (axis_metric axis)
-        end;
-        if Footprint.recording () then record_axis_scope axis n;
-        Seq.filter (node_test_matches ~axis test) (axis_seq axis n)
-  in
-  let cur = Xdm_seq.of_node_seq ~sorted:(forward_ordered axis) nodes in
-  apply_predicates_seq ctx cur preds
-
-and apply_predicates_seq ctx cur preds =
-  List.fold_left
-    (fun cur pred ->
-      match take_shape pred with
-      | Some (`Nth k) ->
-          if k < 1 then Xdm_seq.empty
-          else
-            Xdm_seq.make ~sorted:(Xdm_seq.sorted cur) ~at_most_one:true
-              (Seq.take 1 (Seq.drop (k - 1) (Xdm_seq.items cur)))
-      | Some (`First k) -> Xdm_seq.take k cur
-      | None ->
-          if Focus_analysis.uses_last pred then
-            (* needs-last: the predicate observes the focus size, so
-               this stage must materialise to compute it *)
-            Xdm_seq.of_list ~sorted:(Xdm_seq.sorted cur)
-              (apply_predicates ctx (Xdm_seq.to_list cur) [ pred ])
-          else
-            (* position is free — an incremental counter; size is
-               never observed (checked above), so pass 0 *)
-            Xdm_seq.filteri
-              (fun i item ->
-                let pos = i + 1 in
-                let fctx = D.with_focus ctx item ~position:pos ~size:0 in
-                predicate_keeps (eval fctx pred) pos)
-              cur)
-    cur preds
-
-and flwor_seq ctx clauses where return =
-  let rec expand (ctxs : D.t Seq.t) = function
-    | [] -> ctxs
-    | Ast.Let_clause { var; var_type; value } :: rest ->
-        let coerce = coerce_binding var var_type in
-        expand (Seq.map (fun c -> D.bind c var (coerce (eval c value))) ctxs) rest
-    | Ast.For_clause { var; pos_var; var_type; source } :: rest ->
-        let coerce = coerce_binding var var_type in
-        expand
-          (Seq.concat_map
-             (fun c ->
-               Seq.mapi
-                 (fun i item ->
-                   let c = D.bind c var (coerce [ item ]) in
-                   match pos_var with
-                   | Some pv -> D.bind c pv [ I.Atomic (A.Integer (i + 1)) ]
-                   | None -> c)
-                 (Xdm_seq.items (eval_seq c source)))
-             ctxs)
-          rest
-  in
-  let tuples = expand (Seq.return ctx) clauses in
-  let tuples =
-    match where with
-    | None -> tuples
-    | Some w -> Seq.filter (fun c -> ebv_stream c w) tuples
-  in
-  Xdm_seq.make
-    (Seq.concat_map (fun c -> Xdm_seq.items (eval_seq c return)) tuples)
 
 and call_function ctx qn args =
   let arity = List.length args in

@@ -1,6 +1,10 @@
 (** The XQuery evaluator: expressions, FLWOR, paths, constructors,
     updates (pending update lists), scripting blocks, and the browser
-    extension expressions (dispatched to the host hooks). *)
+    extension expressions (dispatched to the host hooks).
+
+    The tree-walker is eager: every subexpression is evaluated to a
+    full sequence. It is the reference the closure compiler
+    ({!Compile}), which owns lazy streaming, is tested against. *)
 
 open Xmlb
 
@@ -21,24 +25,6 @@ exception Continue_loop
 val protect : (unit -> 'a) -> 'a
 
 val eval : Dynamic_context.t -> Ast.expr -> Xdm_item.sequence
-
-(** Streaming ablation switch (default on; mirrors
-    {!Dom.set_acceleration}). When enabled, early-exit consumers —
-    EBV contexts, quantifiers, [fn:exists]/[fn:empty]/[fn:head]/
-    [fn:subsequence], [fn:count] compared against an integer literal,
-    and bounded positional takes — pull items through lazy
-    {!Xdm_seq} cursors instead of materialising whole sequences.
-    When disabled, every expression evaluates eagerly (the QCheck
-    oracle path). *)
-val set_streaming : bool -> unit
-
-val streaming_enabled : unit -> bool
-
-(** Evaluate to a lazy pull cursor. Falls back to eager evaluation
-    (wrapped in a materialised cursor) when streaming is disabled,
-    for updating expressions, and for expression forms that do not
-    benefit from laziness. *)
-val eval_seq : Dynamic_context.t -> Ast.expr -> Xdm_seq.t
 
 (** Evaluate a block of statements. [script] selects scripting
     semantics (updates applied at every statement boundary, paper
@@ -65,6 +51,8 @@ val make_listener : Dynamic_context.t -> Qname.t -> Dynamic_context.listener
     bump the same metrics by construction. *)
 
 (** {3 Comparisons and arithmetic} *)
+
+val bool_seq : bool -> Xdm_item.sequence
 
 val value_comp :
   Ast.value_comp -> Xdm_item.sequence -> Xdm_item.sequence -> Xdm_item.sequence
@@ -120,6 +108,30 @@ val root : Dynamic_context.t -> Xdm_item.sequence
     descendant name tests when DOM acceleration is on). *)
 val step_nodes : Ast.axis -> Ast.node_test -> Dom.node -> Dom.node list
 
+(** The same selection as a lazy producer: nothing is selected, and no
+    step is counted, before the first pull; a scan then walks the axis
+    only as far as it is pulled. *)
+val step_node_seq : Ast.axis -> Ast.node_test -> Dom.node -> Dom.node Seq.t
+
+(** [value_index_step axis test ast_preds n]: the nodes in document
+    order when the value index answers the leading predicate of
+    [ast_preds] (which is then consumed: the second component is the
+    rest), [None] when the axis must be scanned. *)
+val value_index_step :
+  Ast.axis ->
+  Ast.node_test ->
+  Ast.expr list ->
+  Dom.node ->
+  (Dom.node list * Ast.expr list) option
+
+val node_items : Dom.node list -> Xdm_item.sequence
+
+(** The errors for an axis step from an atomic context item and for a
+    path step over an atomic value. *)
+val atomic_context_step : unit -> 'a
+
+val atomic_path_step : unit -> 'a
+
 (** [step ctx axis test ast_preds preds ~filter x]: one axis step from
     the focus node. A leading [@k eq 'lit']-style predicate is served
     from the value index when possible (and consumed); [filter x]
@@ -143,6 +155,10 @@ val path :
   (Dynamic_context.t -> Xdm_item.sequence) ->
   Xdm_item.sequence
 
+(** [predicate_keeps v pos]: does a predicate value [v] keep the item
+    at position [pos]? *)
+val predicate_keeps : Xdm_item.sequence -> int -> bool
+
 (** [filter_items eval_pred ctx items preds]: a predicate chain. A
     numeric predicate value keeps the item at that position, any other
     value keeps it by its effective boolean value. *)
@@ -165,6 +181,29 @@ val range_endpoint : Xdm_item.sequence -> int option
 val range_bounds : int option -> int option -> (int * int) option
 val range : int option -> int option -> Xdm_item.sequence
 
+(** [quantify quant var_type test items]: [some]/[every] over one
+    binding's items, coerced to [var_type]; stops at the first deciding
+    item. *)
+val quantify :
+  Ast.quantifier ->
+  Ast.seq_type option ->
+  (Xdm_item.item -> bool) ->
+  Xdm_item.item Seq.t ->
+  bool
+
+(** [hash_join ~general ~build ~build_key ~probe_key probe]: the
+    planner's equi-join. The build side ([build ()], keyed by
+    [build_key]) is hashed at the first probe item; each probe item
+    ([probe_key]) yields its (probe, build) pairs lazily, in
+    nested-loop order, with the nested loop's errors. *)
+val hash_join :
+  general:bool ->
+  build:(unit -> Xdm_item.sequence) ->
+  build_key:(Xdm_item.item -> Xdm_item.sequence) ->
+  probe_key:(Xdm_item.item -> Xdm_item.sequence) ->
+  Xdm_item.item Seq.t ->
+  (Xdm_item.item * Xdm_item.item) Seq.t
+
 (** Call a builtin implementation; [impure] poisons the footprint of a
     recorded listener run. *)
 val call_builtin :
@@ -173,6 +212,10 @@ val call_builtin :
   Functions.impl ->
   Xdm_item.sequence list ->
   Xdm_item.sequence
+
+(** [call_early_exit f]: a builtin call whose body [f] pulls its
+    argument cursors itself; counted like {!call_builtin}. *)
+val call_early_exit : (unit -> Xdm_item.sequence) -> Xdm_item.sequence
 
 (** The boundary of a function or program body: maps [exit with] to its
     value, a stray [break]/[continue] to XSST0010, and data-model

@@ -1,11 +1,7 @@
-(* Static expression analyses shared by the optimizer, the evaluator
-   and the closure compiler. Everything here is conservative: an
-   unrecognized form counts as focus-dependent / positional / numeric,
-   so consumers can only under-apply an optimisation, never miscompile.
-
-   Historically the focus analyses lived in Optimizer and the streaming
-   shape analyses in Eval, with near-duplicates of each other; they are
-   deduplicated here so all three consumers agree on one answer. *)
+(* Static expression analyses shared by the optimizer and the closure
+   compiler. Everything here is conservative: an unrecognized form
+   counts as focus-dependent / positional / numeric, so consumers can
+   only under-apply an optimisation, never miscompile. *)
 
 open Xmlb
 module A = Xdm_atomic
@@ -247,8 +243,8 @@ let has_positional preds =
   List.exists (fun p -> may_yield_number p || uses_focus p) preds
 
 (* needs-last / needs-position: does [e] observe the focus [size]
-   (resp. [position])? Used by the streaming evaluator and the closure
-   compiler — computing a focus size forces materialising the whole
+   (resp. [position])? Used by the closure compiler's streamed
+   predicates — computing a focus size forces materialising the whole
    sequence, while position is a free incremental counter. Conservative
    like {!uses_focus}: opaque user/external calls count, because this
    engine keeps the caller's focus visible inside function bodies. *)

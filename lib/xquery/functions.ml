@@ -184,6 +184,36 @@ let regex_input s case_insensitive =
 (* ------------------------------------------------------------------ *)
 (* Registration                                                        *)
 
+(* fn:subsequence: the items at positions p with round(start) <= p <
+   round(start) + round(length) — none for the NaN bound of -INF + INF.
+   Only the items up to the window's end are pulled. *)
+let subsequence items start len =
+  let round v = Float.floor (I.item_number (I.Atomic (I.singleton_atomic v)) +. 0.5) in
+  let from = round start in
+  let upto = match len with None -> Float.infinity | Some l -> from +. round l in
+  let first = Float.max 1. from in
+  if Float.is_nan upto || not (upto > first) then []
+  else
+    let skip = if first >= 1e18 then max_int else int_of_float first - 1 in
+    let rest = Seq.drop skip items in
+    List.of_seq
+      (if upto >= 1e18 then rest else Seq.take (int_of_float upto - skip - 1) rest)
+
+let round_half_even_float v precision =
+  let scale = 10. ** float_of_int precision in
+  let x = v *. scale in
+  if scale = 0. then Float.copy_sign 0. v
+  else if not (Float.is_finite x) then v (* finer than a double resolves *)
+  else
+    let fl = Float.floor x and ce = Float.ceil x in
+    let rounded =
+      if x -. fl < ce -. x then fl
+      else if ce -. x < x -. fl then ce
+      else if Float.rem fl 2. = 0. then fl
+      else ce
+    in
+    rounded /. scale
+
 let fn ~local ?(min_arity = 1) ?max_arity impl =
   let max_arity = Option.value ~default:min_arity max_arity in
   register ~uri:Qname.Ns.fn ~local ~min_arity ~max_arity impl
@@ -238,21 +268,20 @@ let () =
       err code "%s" desc);
 
   (* ---------- numeric ---------- *)
-  let unary_numeric local f =
+  (* an integer argument stays exact: [int] is its own rule *)
+  let unary_numeric local ~int f =
     fn ~local (fun _ args ->
         match opt_num (arg 0 args) with
         | None -> []
-        | Some (A.Integer i) -> int1 (f (float_of_int i) |> int_of_float)
-        | Some a -> (
-            match a with
-            | A.Decimal x -> [ I.Atomic (A.Decimal (f x)) ]
-            | A.Double x -> [ I.Atomic (A.Double (f x)) ]
-            | _ -> assert false))
+        | Some (A.Integer i) -> int1 (int i)
+        | Some (A.Decimal x) -> [ I.Atomic (A.Decimal (f x)) ]
+        | Some (A.Double x) -> [ I.Atomic (A.Double (f x)) ]
+        | Some _ -> assert false)
   in
-  unary_numeric "abs" Float.abs;
-  unary_numeric "ceiling" Float.ceil;
-  unary_numeric "floor" Float.floor;
-  unary_numeric "round" (fun x -> Float.floor (x +. 0.5));
+  unary_numeric "abs" ~int:(fun i -> if i < 0 then A.int_neg i else i) Float.abs;
+  unary_numeric "ceiling" ~int:Fun.id Float.ceil;
+  unary_numeric "floor" ~int:Fun.id Float.floor;
+  unary_numeric "round" ~int:Fun.id (fun x -> Float.floor (x +. 0.5));
   fn ~local:"round-half-to-even" ~min_arity:1 ~max_arity:2 (fun _ args ->
       match opt_num (arg 0 args) with
       | None -> []
@@ -265,20 +294,13 @@ let () =
                 | _ -> 0)
             | None -> 0
           in
-          let scale = 10. ** float_of_int precision in
-          let x = num_to_float a *. scale in
-          let fl = Float.floor x and ce = Float.ceil x in
-          let rounded =
-            if x -. fl < ce -. x then fl
-            else if ce -. x < x -. fl then ce
-            else if Float.rem fl 2. = 0. then fl
-            else ce
-          in
-          let r = rounded /. scale in
           (match a with
-          | A.Integer _ -> int1 (int_of_float r)
-          | A.Decimal _ -> [ I.Atomic (A.Decimal r) ]
-          | _ -> float1 r));
+          | A.Integer i when precision >= 0 -> int1 i
+          | A.Integer i ->
+              int1 (int_of_float (round_half_even_float (float_of_int i) precision))
+          | A.Decimal x ->
+              [ I.Atomic (A.Decimal (round_half_even_float x precision)) ]
+          | _ -> float1 (round_half_even_float (num_to_float a) precision)));
 
   (* ---------- strings ---------- *)
   fn ~local:"concat" ~min_arity:2 ~max_arity:(-1) (fun _ args ->
@@ -507,20 +529,7 @@ let () =
       in
       List.filteri (fun i _ -> i + 1 <> pos) (arg 0 args));
   fn ~local:"subsequence" ~min_arity:2 ~max_arity:3 (fun _ args ->
-      let seq = arg 0 args in
-      let start = I.item_number (I.Atomic (I.singleton_atomic (arg 1 args))) in
-      let len =
-        match arg_opt 2 args with
-        | Some l -> I.item_number (I.Atomic (I.singleton_atomic l))
-        | None -> Float.infinity
-      in
-      let from = Float.floor (start +. 0.5) in
-      let upto = if len = Float.infinity then Float.infinity else from +. Float.floor (len +. 0.5) in
-      List.filteri
-        (fun i _ ->
-          let fi = float_of_int (i + 1) in
-          fi >= from && fi < upto)
-        seq);
+      subsequence (List.to_seq (arg 0 args)) (arg 1 args) (arg_opt 2 args));
   fn ~local:"distinct-values" ~min_arity:1 ~max_arity:2 (fun _ args ->
       (* Hashtable dedup keyed so that [A.same_key a b] implies
          [dv_key a = dv_key b]. same_key partitions values into

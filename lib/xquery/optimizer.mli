@@ -50,7 +50,7 @@ val last_passes : unit -> int
     as positional. *)
 val has_positional : Ast.expr list -> bool
 
-(** Needs-last / needs-position analyses for the streaming evaluator:
+(** Needs-last / needs-position analyses for streamed predicates:
     does the expression observe the focus [size] (resp. [position]) —
     directly via [fn:last]/[fn:position] or through an opaque
     user/external call (function bodies see the caller's focus)?

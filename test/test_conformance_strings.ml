@@ -188,6 +188,27 @@ let error_code_tests =
           [ 8; 11; 31; 57343; 65534; 65535 ]);
   ]
 
+(* ---------- casts that used to succeed with a wrong value ---------- *)
+
+let cast_error_tests =
+  [
+    (* xs:decimal has no exponent, INF or NaN in its lexical space *)
+    raises "FORG0001" "xs:decimal('1e2')";
+    raises "FORG0001" "xs:decimal('INF')";
+    raises "FORG0001" "xs:decimal('1e400')";
+    raises "FORG0001" "xs:QName('')";
+    raises "FORG0001" "xs:QName('1a')";
+    (* durations out of range overflow instead of wrapping to PT0S *)
+    raises "FODT0002" "xs:duration('P99999999999999999999Y')";
+    raises "FODT0002" "xs:yearMonthDuration('P9223372036854775807M')";
+    raises "FODT0002" "xs:duration('P1Y') * 1e300";
+    raises "FODT0002" "xs:dayTimeDuration('P1D') * xs:double('INF')";
+    raises "FOCA0005" "xs:dayTimeDuration('P1D') * xs:double('NaN')";
+    eq "valid decimal and QName casts still succeed" "0.5 -3 p:local"
+      "string-join((string(xs:decimal(' .5 ')), string(xs:decimal('-3.')), \
+       string(xs:QName('p:local'))), ' ')";
+  ]
+
 let suite =
   substring_tests @ translate_case_tests @ scan_tests @ property_tests @ pul_tests
-  @ error_code_tests
+  @ error_code_tests @ cast_error_tests

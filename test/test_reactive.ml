@@ -26,17 +26,14 @@ let counter name =
   | None -> Alcotest.failf "no reactive counter %S" name
 
 (* every test must leave the global toggles in their defaults *)
-let with_configs ?(incremental = true) ?(compiled = true) ?(streaming = true)
-    f =
+let with_configs ?(incremental = true) ?(compiled = true) f =
   Fun.protect
     ~finally:(fun () ->
       Reactive.set_incremental true;
-      Engine.set_compiled_eval true;
-      Eval.set_streaming true)
+      Engine.set_compiled_eval true)
     (fun () ->
       Reactive.set_incremental incremental;
       Engine.set_compiled_eval compiled;
-      Eval.set_streaming streaming;
       f ())
 
 (* ------------------------------------------------------------------ *)
@@ -325,8 +322,8 @@ let churn_tests =
 (* A scenario: a page of regions, random listeners (pure, conditionally
    updating, always updating), and a random stream of mutations
    interleaved with event dispatches. Whatever the configuration —
-   incremental on or off, compiled or tree-walking, streaming or
-   materialized — the final document and hit counts must agree. *)
+   incremental on or off, compiled (streaming) or tree-walking (eager)
+   — the final document and hit counts must agree. *)
 
 type listener_kind = L_pure_count | L_pure_sum | L_cond_write | L_always_write
 
@@ -405,8 +402,8 @@ let op_stmt s = function
       Printf.sprintf {|replace value of node (//div[@id='r%d']/val)[1] with '%d'|}
         (r mod s.regions) v
 
-let run_scenario ~incremental ~compiled ~streaming s =
-  with_configs ~incremental ~compiled ~streaming (fun () ->
+let run_scenario ~incremental ~compiled s =
+  with_configs ~incremental ~compiled (fun () ->
       let b = load_page (scenario_page s) in
       let doc = B.document b in
       let region r =
@@ -462,28 +459,18 @@ let differential_tests =
   [
     qt ~count:20 "incremental == full across engine configs" scenario_arb
       (fun s ->
-        let oracle =
-          run_scenario ~incremental:false ~compiled:true ~streaming:true s
-        in
+        let oracle = run_scenario ~incremental:false ~compiled:true s in
         List.for_all
-          (fun (incremental, compiled, streaming) ->
-            let got = run_scenario ~incremental ~compiled ~streaming s in
+          (fun (incremental, compiled) ->
+            let got = run_scenario ~incremental ~compiled s in
             if String.equal got oracle then true
             else
               Q.Test.fail_reportf
-                "config {inc=%b; compiled=%b; streaming=%b} diverged:\n\
+                "config {inc=%b; compiled=%b} diverged:\n\
                  oracle: %s\n\
                  got:    %s"
-                incremental compiled streaming oracle got)
-          [
-            (true, true, true);
-            (true, true, false);
-            (true, false, true);
-            (true, false, false);
-            (false, true, false);
-            (false, false, true);
-            (false, false, false);
-          ]);
+                incremental compiled oracle got)
+          [ (true, true); (true, false); (false, false) ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -1,18 +1,16 @@
-(* Streaming sequence pipeline: streaming-vs-eager equivalence (unit
-   and QCheck), bounded-pull assertions via the obs cursor counters,
-   and the satellite fixes that rode along — distinct-values hashing,
-   index-of positions, and the absent-focus XPDY0002 errors. *)
+(* Streaming sequence pipeline: compiled (streaming) vs reference
+   (eager) equivalence on the early-exit consumers, bounded-pull
+   assertions via the obs cursor counters, and the fixes that rode
+   along — distinct-values hashing, index-of positions, and the
+   absent-focus XPDY0002 errors. The generated equivalence property
+   lives with the compiled-vs-reference matrix in test_compile.ml. *)
 
 open Xquery
 module A = Xdm_atomic
 module I = Xdm_item
-module Q = QCheck
 
 let check = Alcotest.check
 let t name f = Alcotest.test_case name `Quick f
-
-let qt ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (Q.Test.make ~count ~name gen prop)
 
 (* per-child-list positions differ from merged-descendant positions *)
 let pos_doc = "<r><a><x>1</x><x>2</x></a><a><x>3</x></a></r>"
@@ -31,20 +29,16 @@ let rows_doc n =
   Buffer.add_string b "</r>";
   Buffer.contents b
 
-let with_streaming streaming f =
-  let prev = Eval.streaming_enabled () in
-  Eval.set_streaming streaming;
-  Fun.protect ~finally:(fun () -> Eval.set_streaming prev) f
+let with_compiled compiled f =
+  let prev = Engine.compiled_eval_enabled () in
+  Engine.set_compiled_eval compiled;
+  Fun.protect ~finally:(fun () -> Engine.set_compiled_eval prev) f
 
+(* compiled code streams; the tree-walking reference is eager *)
 let eval_doc ?(doc = pos_doc) ~streaming src =
-  with_streaming streaming (fun () ->
+  with_compiled streaming (fun () ->
       let node = I.Node (Dom.of_string doc) in
       I.to_display_string (Engine.eval_string ~context_item:node src))
-
-let eval_outcome ?doc ~streaming src =
-  match eval_doc ?doc ~streaming src with
-  | v -> Ok v
-  | exception Xq_error.Error e -> Error e.Xq_error.code
 
 (* assert streaming and eager agree, and optionally pin the value *)
 let both_modes ?doc ?expected name src =
@@ -123,27 +117,17 @@ let counters f =
       let v = f () in
       (v, Obs.Metrics.counter Xdm_seq.pulls_metric))
 
-let with_compiled compiled f =
-  let prev = Engine.compiled_eval_enabled () in
-  Engine.set_compiled_eval compiled;
-  Fun.protect ~finally:(fun () -> Engine.set_compiled_eval prev) f
-
-(* the bounded-pull assertions run twice: once against the
-   tree-walking evaluator and once against the closure-compiled path,
-   which must delegate its early-exit consumers to the same lazy
-   cursors — pull counts have to match pull-for-pull *)
-let bounded_pull_tests_for compiled =
-  let mode = if compiled then " (compiled)" else " (interpreted)" in
+(* the early-exit consumers of compiled code pull through lazy
+   cursors and stop at the bound *)
+let bounded_pull_tests =
   let doc = rows_doc 1000 in
-  let run src =
-    with_compiled compiled (fun () -> eval_doc ~doc ~streaming:true src)
-  in
+  let run src = eval_doc ~doc ~streaming:true src in
   [
-    t ("first-of-1000 pulls one item" ^ mode) (fun () ->
+    t "first-of-1000 pulls one item (compiled)" (fun () ->
         let v, pulls = counters (fun () -> run "string((//row)[1])") in
         check Alcotest.string "value" "v1" v;
         check Alcotest.bool "pulled once, not 1000" true (pulls <= 2));
-    t ("exists with early hit pulls a bounded prefix" ^ mode) (fun () ->
+    t "exists with early hit pulls a bounded prefix (compiled)" (fun () ->
         let v, pulls =
           counters (fun () -> run "exists(//row[@hit='1'])")
         in
@@ -152,13 +136,13 @@ let bounded_pull_tests_for compiled =
         check Alcotest.bool
           (Printf.sprintf "pulls %d <= 30" pulls)
           true (pulls <= 30));
-    t ("bounded count pulls k+1 items" ^ mode) (fun () ->
+    t "bounded count pulls k+1 items (compiled)" (fun () ->
         let v, pulls = counters (fun () -> run "count(//row) > 5") in
         check Alcotest.string "value" "true" v;
         check Alcotest.bool
           (Printf.sprintf "pulls %d <= 8" pulls)
           true (pulls <= 8));
-    t ("quantifier stops at the witness" ^ mode) (fun () ->
+    t "quantifier stops at the witness (compiled)" (fun () ->
         let v, pulls =
           counters (fun () ->
               run "some $v in //row satisfies $v/@hit = '1'")
@@ -167,17 +151,12 @@ let bounded_pull_tests_for compiled =
         check Alcotest.bool
           (Printf.sprintf "pulls %d <= 30" pulls)
           true (pulls <= 30));
-    t ("eager mode pulls nothing through cursors" ^ mode) (fun () ->
+    t "the eager reference pulls nothing through cursors" (fun () ->
         let _, pulls =
-          counters (fun () ->
-              with_compiled compiled (fun () ->
-                  eval_doc ~doc ~streaming:false "(//row)[1]"))
+          counters (fun () -> eval_doc ~doc ~streaming:false "(//row)[1]")
         in
         check Alcotest.int "no cursor pulls" 0 pulls);
   ]
-
-let bounded_pull_tests =
-  bounded_pull_tests_for false @ bounded_pull_tests_for true
 
 (* ---------- joined early-exit: the probe side streams ---------- *)
 
@@ -242,77 +221,6 @@ let joined_early_exit_tests =
         check Alcotest.bool
           (Printf.sprintf "pulls %d >= 1000" pulls)
           true (pulls >= 1000));
-  ]
-
-(* ---------- QCheck: streaming and eager always agree ---------- *)
-
-(* error-free sources biased toward the streaming consumers; streaming
-   may legally skip an error an eager evaluation would raise in an
-   unconsumed item, so the generator stays error-free and equivalence
-   is exact *)
-let streaming_src_gen =
-  Q.Gen.(
-    let pred =
-      oneofl
-        [
-          "1"; "2"; "position() = 1"; "position() le 2"; "position() lt 3";
-          "last()"; "position() = last()"; ". = '2'"; "@hit = '1'"; "true()";
-          "not(position() = 1)";
-        ]
-    in
-    let path = oneofl [ "//x"; "//r/a/x"; "//y"; "(//x, //x)"; "//a/x" ] in
-    let small = map string_of_int (int_range (-2) 5) in
-    let consumer =
-      [
-        map2 (Printf.sprintf "exists(%s[%s])") path pred;
-        map2 (Printf.sprintf "empty(%s[%s])") path pred;
-        map2 (Printf.sprintf "head(%s[%s])") path pred;
-        map2 (Printf.sprintf "(%s)[%s]") path pred;
-        map2 (Printf.sprintf "boolean(%s[%s])") path pred;
-        map3
-          (fun p a b -> Printf.sprintf "subsequence(%s, %s, %s)" p a b)
-          path small small;
-        map3
-          (fun p op k -> Printf.sprintf "count(%s) %s %s" p op k)
-          path
-          (oneofl [ "="; "!="; "<"; "<="; ">"; ">=" ])
-          small;
-        map3
-          (fun k op p -> Printf.sprintf "%s %s count(%s)" k op p)
-          small
-          (oneofl [ "="; "<"; ">=" ])
-          path;
-        map2 (fun p v -> Printf.sprintf "%s = '%s'" p v) path
-          (oneofl [ "1"; "2"; "3"; "z" ]);
-        map2
-          (fun p v -> Printf.sprintf "some $v in %s satisfies $v = '%s'" p v)
-          path
-          (oneofl [ "1"; "3"; "z" ]);
-        map2
-          (fun p v -> Printf.sprintf "every $v in %s satisfies $v = '%s'" p v)
-          path
-          (oneofl [ "1"; "3"; "z" ]);
-        map2
-          (fun p c ->
-            Printf.sprintf "if (%s) then count(%s) else 'none'" c p)
-          path pred;
-        map2
-          (fun p v ->
-            Printf.sprintf "for $v in %s where $v = '%s' return $v" p v)
-          path
-          (oneofl [ "1"; "2"; "z" ]);
-        map (Printf.sprintf "exists(1 to %s)") small;
-        map2 (Printf.sprintf "string-join(%s[%s], '.')") path pred;
-      ]
-    in
-    oneof consumer)
-
-let equivalence_properties =
-  [
-    qt ~count:400 "streaming evaluation matches eager"
-      (Q.make ~print:Fun.id streaming_src_gen)
-      (fun src ->
-        eval_outcome ~streaming:true src = eval_outcome ~streaming:false src);
   ]
 
 (* ---------- satellite: fn:distinct-values hashing ---------- *)
@@ -385,5 +293,5 @@ let absent_focus_tests =
 
 let suite =
   consumer_tests @ bounded_pull_tests @ joined_early_exit_tests
-  @ equivalence_properties @ distinct_values_tests @ index_of_tests
+  @ distinct_values_tests @ index_of_tests
   @ absent_focus_tests
